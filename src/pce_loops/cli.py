@@ -29,7 +29,9 @@ import numpy as np
 from . import bench as bench_mod
 from .dist import Density, RandomVector, density_from_dict
 from .engine import polynomialize, propagate, simulate
-from .lang import ParseError, eval_expr, parse_expression, parse_file, render, validate_conditions
+from .lang import (
+    NUMPY_CALLS, ParseError, eval_expr, parse_expression, parse_file, render, validate_conditions,
+)
 from .orthopoly import GramSchmidtError, gram_schmidt
 from .pce import error_bound, expand
 from .quad import DEFAULT_NODES
@@ -274,9 +276,8 @@ def _maybe_bound(prov):
     germ = prov["germ"]
     if "a" not in germ or "b" not in germ:
         return None
-    fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}[prov["function"]]
     try:
-        return error_bound(fn, (germ["a"], germ["b"]))
+        return error_bound(NUMPY_CALLS[prov["function"]], (germ["a"], germ["b"]))
     except (ValueError, ArithmeticError):
         return None
 
@@ -313,6 +314,8 @@ BENCH_HEADER = ("benchmark", "target", "sim", "deg", "result", "reference",
 
 
 def cmd_bench(args):
+    if not args.suite:
+        raise UsageError(f"no suite given; available: {', '.join(bench_mod.SUITES)}")
     unknown = [s for s in args.suite if s not in bench_mod.SUITES]
     if unknown:
         raise UsageError(
@@ -467,7 +470,7 @@ def build_parser():
     p = sub.add_parser("bench",
                        help="run benchmark suites against their reference values")
     p.add_argument("suite", nargs="*", default=[],
-                   help=f"suites: {', '.join(bench_mod.SUITES)}")
+                   help=f"one or more of: {', '.join(bench_mod.SUITES)}")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-sim", action="store_true",

@@ -21,7 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .dist import Density
-from .lang import Assign, Call, BinOp, Const, DistDraw, Pow, Var, eval_expr, validate_conditions
+from .lang import (
+    NUMPY_CALLS, Assign, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
+)
 from .pce import expand
 from .poly import MultiPoly
 from .quad import DEFAULT_NODES
@@ -272,8 +274,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         deg, g = site_config(site)
         key = (call.fn, g.family, tuple(sorted(g.params.items())), deg, n_nodes)
         if key not in cache:
-            fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}[call.fn]
-            cache[key] = expand(fn, g, (deg,), n_nodes=n_nodes)
+            cache[key] = expand(NUMPY_CALLS[call.fn], g, (deg,), n_nodes=n_nodes)
         exp_obj = cache[key]
         provenance.append({
             "site": site_counter[0],
@@ -342,36 +343,43 @@ def _estimator_unipoly(exp_obj):
     return [est.coefficient((k,)) for k in range(deg + 1)]
 
 
-def _integrate_out(poly, var, density, moment_cache):
-    """E over one fresh draw: replace var^k by its raw moment."""
+def _integrate_out(poly, var, density, moments):
+    """E over one fresh draw: replace var^k by its raw moment (memoized in
+    the dict `moments`)."""
     if poly.degree_in(var) == 0:
         return poly
     out = {}
     for e, c in poly.terms.items():
         k = e[var]
         if k:
-            if k not in moment_cache:
-                moment_cache[k] = density.raw_moment(k)
-            c = c * moment_cache[k]
+            if k not in moments:
+                moments[k] = density.raw_moment(k)
+            c = c * moments[k]
             e = e[:var] + (0,) + e[var + 1 :]
         out[e] = out.get(e, 0.0) + c
-    return MultiPoly(poly.arity, out)._cleaned()
+    return MultiPoly._pruned(poly.arity, out)
 
 
-def one_step_expectation(pp, monomial):
+def one_step_expectation(pp, monomial, _memo=None):
     """Expectation of a state monomial after one iteration, as a polynomial
-    in the previous iteration's state monomials."""
+    in the previous iteration's state monomials.
+
+    _memo maps a body position to its cache: the powers of an update's
+    polynomial, or the raw moments of a draw.  close_monomials shares one
+    memo across its whole closure.
+    """
+    memo = {} if _memo is None else _memo
     arity = len(pp.all_vars)
     exp = list(monomial) + [0] * len(pp.draw_vars)
     poly = MultiPoly(arity, {tuple(exp): 1.0})
-    caches = {}
-    for kind, var, payload in reversed(pp.body):
+    for pos in range(len(pp.body) - 1, -1, -1):
+        kind, var, payload = pp.body[pos]
         idx = pp.var_index[var]
         if kind == "assign":
             if poly.degree_in(idx):
-                poly = poly.substitute(idx, payload)
+                poly = poly.substitute(idx, payload, memo.setdefault(pos, {}))
         else:
-            poly = _integrate_out(poly, idx, payload, caches.setdefault(var, {}))
+            poly = _integrate_out(poly, idx, payload, memo.setdefault(pos, {}))
     for d in pp.draw_vars:
         if poly.degree_in(pp.var_index[d]):
             raise ValueError(
@@ -404,9 +412,10 @@ def close_monomials(pp, targets):
     todo = list(seeds)
     closure = set(seeds)
     step = {}
+    memo = {}
     while todo:
         m = todo.pop()
-        poly = one_step_expectation(pp, m)
+        poly = one_step_expectation(pp, m, memo)
         step[m] = poly
         for nm in _state_monomials(pp, poly):
             if nm not in closure:
@@ -468,23 +477,23 @@ def propagate(pp, targets, iterations):
     col = {m: i for i, m in enumerate(order)}
     k = len(pp.state_vars)
 
-    rows = []
-    for m in order:
-        poly = step[m]
-        rows.append([(col[e[:k]], c) for e, c in poly.terms.items()])
+    # the step map as COO triplets in closure order; bincount adds each
+    # row's terms in that order, as a plain loop over them would
+    rows, cols, data = [], [], []
+    for r, m in enumerate(order):
+        for e, c in step[m].terms.items():
+            rows.append(r)
+            cols.append(col[e[:k]])
+            data.append(c)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    data = np.array(data, dtype=float)
 
     values = np.empty((iterations + 1, len(order)))
     values[0] = _initial_moments(pp, order)
-    cur = values[0]
     for n in range(1, iterations + 1):
-        nxt = np.empty_like(cur)
-        for r, entries in enumerate(rows):
-            acc = 0.0
-            for c, w in entries:
-                acc += w * cur[c]
-            nxt[r] = acc
-        values[n] = nxt
-        cur = nxt
+        values[n] = np.bincount(rows, weights=data * values[n - 1][cols],
+                                minlength=len(order))
     unit = col[(0,) * k]
     if abs(values[:, unit] - 1.0).max() > 1e-9:
         raise ArithmeticError("E[1] drifted away from 1 during propagation")
@@ -600,7 +609,7 @@ def lagrange_schedule(program, site_index, iterations, germs, degree=5,
     if site_index >= len(report["call_sites"]):
         raise ValueError(f"no call site {site_index}")
     site = report["call_sites"][site_index]
-    fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}[site["function"]]
+    fn = NUMPY_CALLS[site["function"]]
     while counter in program.state_vars or counter in program.draw_vars:
         counter = counter + "_"
 

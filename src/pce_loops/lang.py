@@ -33,11 +33,12 @@ __all__ = [
     "Expr", "Const", "Var", "BinOp", "Pow", "Call",
     "Init", "Assign", "DistDraw", "LoopProgram",
     "parse", "parse_file", "parse_expression", "render", "validate_conditions",
-    "ParseError", "eval_expr", "expr_calls",
+    "ParseError", "eval_expr", "expr_calls", "NUMPY_CALLS",
 ]
 
 CALL_NAMES = ("sin", "cos", "exp", "log")
-_NUMPY_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+# numpy implementation of each call name; the one table every module uses
+NUMPY_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 KEYWORDS = ("while", "true")
 
 
@@ -140,7 +141,7 @@ def eval_expr(e, env):
     if isinstance(e, Pow):
         return eval_expr(e.base, env) ** e.exponent
     if isinstance(e, Call):
-        return _NUMPY_CALLS[e.fn](eval_expr(e.arg, env))
+        return NUMPY_CALLS[e.fn](eval_expr(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -8,6 +8,7 @@ thousands of ~1e-17 ghost terms.
 """
 
 import math
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -110,6 +111,26 @@ class MultiPoly:
                     clean[exp] = clean.get(exp, 0.0) + c
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
 
+    @classmethod
+    def _trusted(cls, arity, terms):
+        """Wrap a dict whose keys are already int tuples of length arity and
+        whose values are nonzero floats, skipping __init__'s checks."""
+        obj = object.__new__(cls)
+        obj.arity = arity
+        obj.terms = terms
+        return obj
+
+    @classmethod
+    def _pruned(cls, arity, terms):
+        """Like _trusted, but first drop zeros and terms below CLEANUP_REL
+        times the largest |coefficient|, in place: terms must be a dict the
+        caller owns."""
+        if terms:
+            cap = CLEANUP_REL * max(map(abs, terms.values()))
+            for e in [e for e, c in terms.items() if not (abs(c) >= cap and c != 0.0)]:
+                del terms[e]
+        return cls._trusted(arity, terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -129,12 +150,12 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0.0) + c
-        return MultiPoly(self.arity, out)._cleaned()
+        return MultiPoly._pruned(self.arity, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -144,14 +165,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            other = float(other)
+            return MultiPoly._trusted(
+                self.arity, {e: v for e, c in self.terms.items() if (v := c * other) != 0.0})
         other = self._coerce(other)
         out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0.0) + ca * cb
-        return MultiPoly(self.arity, out)._cleaned()
+        _accumulate_product(out, self.terms, other.terms)
+        return MultiPoly._pruned(self.arity, out)
 
     __rmul__ = __mul__
 
@@ -177,15 +197,6 @@ class MultiPoly:
             return MultiPoly.constant(self.arity, other)
         raise TypeError(f"cannot combine MultiPoly with {type(other).__name__}")
 
-    def _cleaned(self):
-        if not self.terms:
-            return self
-        cap = CLEANUP_REL * max(abs(c) for c in self.terms.values())
-        kept = {e: c for e, c in self.terms.items() if abs(c) >= cap}
-        if len(kept) == len(self.terms):
-            return self
-        return MultiPoly(self.arity, kept)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
@@ -195,7 +206,7 @@ class MultiPoly:
         return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, var):
-        return max((e[var] for e in self.terms), default=0)
+        return max(map(itemgetter(var), self.terms), default=0)
 
     def constant_term(self):
         return self.terms.get((0,) * self.arity, 0.0)
@@ -240,26 +251,33 @@ class MultiPoly:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, var, replacement):
-        """Replace variable `var` by a polynomial of the same arity."""
+    def substitute(self, var, replacement, powers=None):
+        """Replace variable `var` by a polynomial of the same arity.
+
+        The result is sum_k group_k * replacement**k, where group_k collects
+        the terms with var^k.  powers, when given, caches replacement**k by
+        k and may be shared between calls with the same replacement: each
+        power is then built once, by one multiplication from the one below.
+        """
         if isinstance(replacement, (int, float)):
             replacement = MultiPoly.constant(self.arity, replacement)
         if replacement.arity != self.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {replacement.arity}")
-        # group terms by the exponent of `var`, then Horner in the replacement
+        if powers is None:
+            powers = {}
         grouped = {}
         for e, c in self.terms.items():
             k = e[var]
             rest = e[:var] + (0,) + e[var + 1 :]
-            grouped.setdefault(k, {})[rest] = grouped.get(k, {}).get(rest, 0.0) + c
-        if not grouped:
-            return MultiPoly(self.arity)
-        acc = MultiPoly(self.arity)
-        for k in range(max(grouped), -1, -1):
-            acc = acc * replacement
+            group = grouped.setdefault(k, {})
+            group[rest] = group.get(rest, 0.0) + c
+        out = grouped.pop(0, {})
+        for k in range(1, max(grouped, default=0) + 1):
+            if k not in powers:
+                powers[k] = powers[k - 1] * replacement if k > 1 else replacement
             if k in grouped:
-                acc = acc + MultiPoly(self.arity, grouped[k])
-        return acc._cleaned()
+                _accumulate_product(out, grouped[k], powers[k].terms)
+        return MultiPoly._pruned(self.arity, out)
 
     def extend_arity(self, new_arity, mapping=None):
         """Re-embed into `new_arity` variables.
@@ -326,6 +344,15 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.arity, tuple(sorted(self.terms.items()))))
+
+
+def _accumulate_product(out, a, b):
+    """out += a * b, all three exponent -> coefficient dicts."""
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0.0) + ca * cb
 
 
 def almost_equal(p, q, tol=1e-9):

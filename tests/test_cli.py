@@ -229,10 +229,10 @@ def test_moments_reference_germ_has_no_bound(capsys):
 
 
 def test_bench_exit_codes(capsys):
-    code, out, _ = run(["bench", "--no-sim"], capsys)
-    assert code == 0
-    assert out.strip().split("\n") == [
-        "benchmark,target,sim,deg,result,reference,rel_dev,status"]
+    code, out, err = run(["bench", "--no-sim"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no suite given" in err and "turning-vehicle" in err
     code, out, _ = run(["bench", "taylor-rule", "--no-sim"], capsys)
     assert code == 3
     assert "SKIPPED(transcription-needed)" in out

@@ -135,3 +135,37 @@ def test_zero_and_equality():
     assert MultiPoly.constant(1, 0.0).is_zero()
     assert x == MultiPoly.variable(1, 0)
     assert hash(x) == hash(MultiPoly.variable(1, 0))
+
+
+def test_substitute_with_shared_power_cache():
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    r = 0.5 * x * x - 1.25 * y + z * x + 3.0
+    polys = [x**4 * y - 2.0 * x * z, 7.0 * x**2 + y**3, x**5 - x * y * z + 1.0]
+    powers = {}
+    for p in polys:
+        cached = p.substitute(0, r, powers)
+        plain = p.substitute(0, r)
+        assert set(cached.terms) == set(plain.terms)
+        for e, c in plain.terms.items():
+            assert cached.terms[e] == pytest.approx(c, rel=1e-12)
+    assert sorted(powers) == [1, 2, 3, 4, 5]
+    for k, pk in powers.items():
+        assert almost_equal(pk, r**k, tol=1e-12)
+
+
+def test_ring_results_hold_no_zero_coefficients():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    results = [
+        (x + y) * (x - y) + y * y,         # y^2 cancels exactly
+        (x + 1.0) - x,                     # x cancels in an add
+        (x * y + 2.0) * 0.0,               # scalar zero
+        -(x - x),
+        (x + y).substitute(1, -1.0 * x),   # x - x after substitution
+        (x + 1e-300) * 1e-300,             # underflow in a scalar product
+    ]
+    for p in results:
+        assert all(c != 0.0 for c in p.terms.values()), p.terms
+    assert results[0].terms == {(2, 0): 1.0}
+    assert results[1].terms == {(0, 0): 1.0}
+    assert results[2].is_zero() and results[3].is_zero() and results[4].is_zero()
