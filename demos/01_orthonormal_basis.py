@@ -1,10 +1,11 @@
 """Build orthonormal polynomial bases against arbitrary densities.
 
-The basis construction is plain Gram-Schmidt in L2(density): it only needs
-raw moments of the density, which the quadrature module supplies, so the
-same code path covers normal, uniform, and truncated families.  The script
-prints two small bases and then measures how close the Gram matrix of a
-degree-10 basis stays to the identity for a spread of densities.
+The basis comes from the density's three-term recurrence
+b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1}, whose coefficients the
+quadrature module computes by the Stieltjes procedure on a fine discretized
+pdf, so the same code path covers normal, uniform, and truncated families.
+The script prints two small bases and then measures how close the Gram
+matrix of a degree-10 basis stays to the identity for a spread of densities.
 """
 
 import numpy as np

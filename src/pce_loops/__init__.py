@@ -1,11 +1,11 @@
 """Polynomial chaos expansions over arbitrary densities, and exact moment
 propagation for probabilistic loops with non-polynomial updates.
 
-The pieces fit together like this: dist declares densities, orthopoly builds
-orthonormal polynomial bases against them, quad supplies the matching Gauss
-rules, pce projects a function onto a truncated basis, lang parses the loop
-DSL, and engine replaces calls with their expansions and pushes moments
-through the loop exactly (with a Monte Carlo cross-check).
+The pieces fit together like this: dist declares densities, quad gives each
+its three-term recurrence and Gauss rules, orthopoly the orthonormal bases
+from that recurrence, pce projects a function onto a truncated basis, lang
+parses the loop DSL, and engine replaces calls with their expansions and
+pushes moments through the loop exactly (with a Monte Carlo cross-check).
 """
 
 from .dist import Density, RandomVector, density_from_dict

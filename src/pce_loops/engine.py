@@ -249,13 +249,13 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     provenance = []
     site_counter = [0]
 
-    def site_config(site):
+    def site_config(site, arg):
         cfg = per_site.get(site_counter[0], {})
         deg = int(cfg.get("degree", degree))
         g = cfg.get("germ", germ)
         if g is None:
             if site["iteration_stable"]:
-                g = _infer_stable_germ(site, draw_density)
+                g = _infer_stable_germ(arg, draw_density)
                 if g is None:
                     raise ValueError(
                         f"call site {site_counter[0]} ({site['function']}({site['argument']})): "
@@ -271,7 +271,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
             poly = overrides[site_counter[0]](arg_poly)
             site_counter[0] += 1
             return poly
-        deg, g = site_config(site)
+        deg, g = site_config(site, call.arg)
         key = (call.fn, g.family, tuple(sorted(g.params.items())), deg, n_nodes)
         if key not in cache:
             cache[key] = expand(NUMPY_CALLS[call.fn], g, (deg,), n_nodes=n_nodes)
@@ -318,15 +318,9 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     return PolynomializedProgram(program, state_vars, draw_vars, body, provenance)
 
 
-def _infer_stable_germ(site, draw_density):
-    """Germ for a stable site: the argument's own distribution, when it is a
-    draw variable or affine in a single Normal/Uniform draw."""
-    # reparse the rendered argument instead of threading AST through the
-    # report: the report is JSON-friendly, so recover the node from the site
-    from .lang import _Parser
-
-    parser = _Parser(site["argument"])
-    arg = parser.expr()
+def _infer_stable_germ(arg, draw_density):
+    """Germ for a stable site: the distribution of its argument node, when
+    that is a draw variable or affine in a single Normal/Uniform draw."""
     if isinstance(arg, Var) and arg.name in draw_density:
         return draw_density[arg.name]
     aff = _affine_of_draw(arg, set(draw_density))

@@ -1,19 +1,20 @@
-"""Orthonormal polynomial bases for arbitrary densities via Gram-Schmidt.
+"""Orthonormal polynomial bases for arbitrary densities.
 
 The basis for a density F is the sequence p_0, p_1, ... with
-E[p_i(X) p_j(X)] = delta_ij and deg p_i = i.  Construction runs modified
-Gram-Schmidt (plus one re-orthogonalization sweep) on monomials of the
-standardized variable u = (x - mean) / std; working in u keeps the monomial
-Gram matrix well conditioned for narrow densities, where raw-x monomials at
-degree 10 would cancel to nothing in double precision.  The raw-x
-coefficient form is recovered by the affine back-substitution and is what
-gets printed and assembled into estimators.
+E[p_i(X) p_j(X)] = delta_ij and deg p_i = i, given by the three-term
+recurrence b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1}, p_0 = 1, whose rows
+quad computes per density (Stieltjes).  Run on points, it gives basis values,
+stable at high degree and for narrow densities; run on coefficient rows, the
+raw-x forms that get printed and assembled into estimators.  Each b_j > 0,
+so every leading coefficient is positive.
 """
+
+import math
 
 import numpy as np
 
 from .poly import UniPoly
-from .quad import DEFAULT_NODES, build_rule
+from .quad import DEFAULT_NODES, _rows, build_rule
 
 __all__ = ["OrthonormalBasis", "gram_schmidt", "GramSchmidtError"]
 
@@ -29,33 +30,23 @@ class GramSchmidtError(RuntimeError):
 class OrthonormalBasis:
     """Orthonormal polynomials of one density, index = degree.
 
-    polys holds the raw-x UniPoly forms (display, assembly); evaluation goes
-    through the standardized-variable forms, which stay stable at high
-    degree.
+    polys holds the raw-x UniPoly forms (display, assembly); evaluation runs
+    the recurrence on the points, which stays stable at high degree.
     """
 
-    def __init__(self, density, polys, u_polys, mean, std, gram_residual):
+    def __init__(self, density, alphas, offdiag, gram_residual):
         self.density = density
-        self.polys = polys
-        self.u_polys = u_polys
-        self.mean = mean
-        self.std = std
+        self._jacobi = (alphas, offdiag)
         self.gram_residual = gram_residual
+        self.polys = _raw_polys(alphas, offdiag)
 
     @property
     def max_degree(self):
         return len(self.polys) - 1
 
-    def evaluate(self, degree, x):
-        """Value of basis polynomial `degree` at x (vectorized)."""
-        u = (np.asarray(x, dtype=float) - self.mean) / self.std
-        return self.u_polys[degree](u)
-
     def eval_matrix(self, x):
         """Matrix of basis values, shape (len(x), max_degree + 1)."""
-        x = np.asarray(x, dtype=float)
-        u = (x - self.mean) / self.std
-        return np.column_stack([p(u) for p in self.u_polys])
+        return np.column_stack(_values(*self._jacobi, x))
 
     def __len__(self):
         return len(self.polys)
@@ -67,58 +58,56 @@ class OrthonormalBasis:
         )
 
 
+def _values(alphas, offdiag, x):
+    """[p_0(x), ..., p_d(x)] for d = len(alphas) - 1, by the recurrence."""
+    x = np.asarray(x, dtype=float)
+    p = [np.ones_like(x)]
+    for j in range(len(alphas) - 1):
+        r = (x - alphas[j]) * p[j]
+        if j:
+            r -= offdiag[j - 1] * p[j - 1]
+        p.append(r / offdiag[j])
+    return p
+
+
+def _raw_polys(alphas, offdiag):
+    """p_0 .. p_d as raw-x UniPolys, by the recurrence on coefficient rows."""
+    d1 = len(alphas)
+    coef = np.zeros((d1, d1))
+    coef[0, 0] = 1.0
+    for j in range(d1 - 1):
+        r = -alphas[j] * coef[j]
+        r[1:] += coef[j, :-1]  # x * p_j
+        if j:
+            r -= offdiag[j - 1] * coef[j - 1]
+        coef[j + 1] = r / offdiag[j]
+    return [UniPoly(coef[j, : j + 1]) for j in range(d1)]
+
+
+def _basis(density, max_degree):
+    """The basis from the density's recurrence, unchecked (gram_residual nan)."""
+    return OrthonormalBasis(density, *_rows(density, max_degree + 1), math.nan)
+
+
 def gram_schmidt(density, max_degree, n_nodes=None):
     """Build the orthonormal basis of `density` up to `max_degree`.
 
-    Inner products use a Gauss rule with twice the default node count (the
-    re-orthogonalization sweep compounds quadrature error otherwise).
-    Raises GramSchmidtError if the final Gram residual exceeds 1e-6.
+    Raises GramSchmidtError if its Gram matrix on an n_nodes Gauss rule (by
+    default twice the default node count) is off the identity by more than
+    1e-6, as on a rule too coarse for the degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if n_nodes is None:
         n_nodes = max(2 * DEFAULT_NODES, 2 * max_degree + 8)
     rule = build_rule(density, n_nodes)
-    m = density.mean()
-    s = density.std()
-    if s <= 0:
-        raise GramSchmidtError("density has zero variance; no basis beyond degree 0")
-
-    u = (rule.nodes - m) / s
-    w = rule.weights
-    d1 = max_degree + 1
-
-    # Column j holds u^j on the nodes; coef[j] tracks the same object in the
-    # u-monomial basis so we read polynomial coefficients off at the end.
-    vals = np.vander(u, d1, increasing=True).T.copy()
-    coef = np.eye(d1)
-
-    for j in range(d1):
-        for _ in range(2):  # MGS sweep + one re-orthogonalization
-            for i in range(j):
-                r = np.dot(w, vals[j] * vals[i])
-                vals[j] -= r * vals[i]
-                coef[j] -= r * coef[i]
-        norm = np.sqrt(np.dot(w, vals[j] ** 2))
-        if norm <= 0 or not np.isfinite(norm):
-            raise GramSchmidtError(
-                f"degree {j} collapsed; lower max_degree or raise the node count"
-            )
-        vals[j] /= norm
-        coef[j] /= norm
-        if coef[j, j] < 0:  # printed convention: positive leading coefficient
-            vals[j] = -vals[j]
-            coef[j] = -coef[j]
-
-    gram = (vals * w) @ vals.T
-    residual = float(np.max(np.abs(gram - np.eye(d1))))
-    if residual > RESIDUAL_LIMIT:
+    basis = _basis(density, max_degree)
+    vals = basis.eval_matrix(rule.nodes)
+    gram = (vals * rule.weights[:, None]).T @ vals
+    basis.gram_residual = float(np.max(np.abs(gram - np.eye(max_degree + 1))))
+    if basis.gram_residual > RESIDUAL_LIMIT:
         raise GramSchmidtError(
-            f"orthogonality lost (residual {residual:.2e} > {RESIDUAL_LIMIT:g}); "
+            f"orthogonality lost (residual {basis.gram_residual:.2e} > {RESIDUAL_LIMIT:g}); "
             "raise the quadrature order or lower the degree"
         )
-
-    u_polys = [UniPoly(coef[j, : j + 1]) for j in range(d1)]
-    # p(u) with u = (x - m)/s, i.e. compose with (1/s) x + (-m/s)
-    polys = [p.compose_affine(1.0 / s, -m / s) for p in u_polys]
-    return OrthonormalBasis(density, polys, u_polys, m, s, residual)
+    return basis

@@ -15,14 +15,13 @@ import math
 import numpy as np
 
 from .dist import Density, RandomVector
-from .orthopoly import gram_schmidt
+from .orthopoly import _basis, gram_schmidt
 from .poly import MultiPoly
 from .quad import DEFAULT_NODES, build_rule
 
 __all__ = [
     "DegreeMatrix",
     "PceExpansion",
-    "build_degree_matrix",
     "expand",
     "error_bound",
     "LagrangeConditional",
@@ -71,10 +70,6 @@ class DegreeMatrix:
 
     def __repr__(self):
         return f"DegreeMatrix(degrees={self.degrees}, L={self.L})"
-
-
-def build_degree_matrix(degrees):
-    return DegreeMatrix(degrees)
 
 
 class PceExpansion:
@@ -146,33 +141,20 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
     values = _grid_values(g, rules)
     _check_square_integrable(values, rules, [r.weights for r in rules])
 
-    # Per-dimension matrices of weighted basis values; contracting the value
-    # tensor with each in turn yields the whole coefficient tensor at once.
-    weighted = [
-        rules[i].weights[:, None] * bases[i].eval_matrix(rules[i].nodes)
-        for i in range(len(germs))
-    ]
+    # Per-dimension matrices of basis values; contracting the value tensor
+    # with each weighted one in turn yields the whole coefficient tensor.
+    mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
     coeff_tensor = values
-    for mat in weighted:
+    for mat, r in zip(mats, rules):
         # move leading node axis to the back as a degree axis
-        coeff_tensor = np.tensordot(coeff_tensor, mat, axes=([0], [0]))
+        coeff_tensor = np.tensordot(coeff_tensor, r.weights[:, None] * mat, axes=([0], [0]))
     coeffs = coeff_tensor.reshape(-1)  # row-major == degree-matrix order
 
     if not np.isfinite(coeffs).all():
         j = int(np.argwhere(~np.isfinite(coeffs))[0])
         raise ValueError(f"coefficient for degree row {D[j]} is not finite")
 
-    # residual se on the same grid, with the estimator evaluated through the
-    # basis value matrices (exact and stable, unlike raw monomial form)
-    approx = coeff_tensor
-    for i, b in enumerate(bases):
-        mat = b.eval_matrix(rules[i].nodes)  # (nodes, degree+1)
-        approx = np.tensordot(approx, mat, axes=([0], [1]))
-    resid_sq = (values - approx) ** 2
-    for r in reversed(rules):
-        resid_sq = resid_sq @ r.weights
-    se = math.sqrt(max(float(resid_sq), 0.0))
-
+    se = _residual_se(values, coeff_tensor, mats, rules)
     estimator = _assemble_estimator(bases, D, coeffs)
     return PceExpansion(germs, bases, D, coeffs, estimator, se)
 
@@ -193,19 +175,24 @@ def _assemble_estimator(bases, D, coeffs):
     return total
 
 
-def error_se(expansion, g, n_nodes=DEFAULT_NODES):
-    """Recompute sqrt(int (g - ghat)^2 dF) for an existing expansion."""
-    rules = [build_rule(d, n_nodes) for d in expansion.germs]
-    values = _grid_values(g, rules)
-    shape = tuple(deg + 1 for deg in expansion.D.degrees)
-    approx = expansion.coeffs.reshape(shape)
-    for i, b in enumerate(expansion.bases):
-        mat = b.eval_matrix(rules[i].nodes)
+def _residual_se(values, coeff_tensor, mats, rules):
+    """sqrt(int (g - ghat)^2 dF) on a tensor grid, with ghat evaluated through
+    the basis value matrices (exact and stable, unlike raw monomial form)."""
+    approx = coeff_tensor
+    for mat in mats:
         approx = np.tensordot(approx, mat, axes=([0], [1]))
     resid_sq = (values - approx) ** 2
     for r in reversed(rules):
         resid_sq = resid_sq @ r.weights
     return math.sqrt(max(float(resid_sq), 0.0))
+
+
+def error_se(expansion, g, n_nodes=DEFAULT_NODES):
+    """Recompute sqrt(int (g - ghat)^2 dF) for an existing expansion."""
+    rules = [build_rule(d, n_nodes) for d in expansion.germs]
+    mats = [b.eval_matrix(r.nodes) for b, r in zip(expansion.bases, rules)]
+    shape = tuple(deg + 1 for deg in expansion.D.degrees)
+    return _residual_se(_grid_values(g, rules), expansion.coeffs.reshape(shape), mats, rules)
 
 
 # -- degree-independent error bound under a truncated density --------------
@@ -218,9 +205,11 @@ def error_bound(g, support, germ=None, n_nodes=2 * DEFAULT_NODES):
 
     For a density f supported on [a, b] and a Normal reference germ with pdf
     phi, the bound is (2 / min(phi(a), phi(b)) + 1) * Var_phi(g(Z)).  The
-    variance is taken from the tail of a degree-60 Hermite-style expansion
-    (sum of squared non-constant coefficients), mirroring the identity
-    Var_phi(g) = sum_{i>=1} c_i^2 that the bound's proof rests on.
+    variance is the tail of a degree-60 expansion (sum of squared
+    non-constant coefficients), mirroring the identity Var_phi(g) =
+    sum_{i>=1} c_i^2 that the bound's proof rests on.  Its basis, unchecked,
+    is the germ's own: orthonormal on the germ's +-10 sigma window, where
+    Hermite polynomials past degree ~20 are not.
     """
     a, b = float(support[0]), float(support[1])
     if not a < b:
@@ -234,17 +223,9 @@ def error_bound(g, support, germ=None, n_nodes=2 * DEFAULT_NODES):
     if not np.isfinite(vals).all():
         raise ValueError("g is not finite on the reference germ support")
 
-    # orthonormal Hermite values in the standardized variable, by recurrence
-    mu, sigma = germ.params["mu"], germ.params["sigma"]
-    u = (rule.nodes - mu) / sigma
-    h_prev = np.zeros_like(u)
-    h_cur = np.ones_like(u)
-    var = 0.0
-    for n in range(1, BOUND_EXPANSION_DEGREE + 1):
-        h_next = (u * h_cur - math.sqrt(n - 1) * h_prev) / math.sqrt(n)
-        h_prev, h_cur = h_cur, h_next
-        c = float(np.dot(rule.weights, vals * h_cur))
-        var += c * c
+    basis = _basis(germ, BOUND_EXPANSION_DEGREE).eval_matrix(rule.nodes)
+    c = (rule.weights * vals) @ basis[:, 1:]
+    var = float(c @ c)
 
     edge = min(germ.pdf(a), germ.pdf(b))
     if edge <= 0:

@@ -1,15 +1,18 @@
-"""Weighted Gaussian quadrature against a Density.
+"""Weighted Gaussian quadrature against a Density, from its orthonormal
+three-term recurrence.
 
-build_rule constructs an n-node Gauss rule for the probability measure of a
-Density: recurrence coefficients come from a discretized Stieltjes procedure
-over a fine composite Gauss-Legendre backbone (pdf folded into the backbone
-weights), and nodes/weights fall out of the Jacobi matrix eigendecomposition
-(Golub-Welsch).  The resulting rule integrates polynomials up to degree
-2n - 1 exactly against the density, which is what the inner products of the
-basis construction and the coefficient integrals need.
-
+A discretized Stieltjes procedure over a fine composite Gauss-Legendre
+backbone (pdf folded into the backbone weights) gives the recurrence rows;
+orthopoly builds bases from them (Gautschi 2004, section 2.2).  build_rule
+cuts an n-node rule, exact to degree 2n - 1, from the first n rows by the
+Jacobi matrix eigendecomposition (Golub-Welsch).  Rows and rules of recent
+densities are memoized: Stieltjes runs row by row, so the first n rows of a
+longer run, and the rule cut from them, are bitwise those of a run to n.
 integrate tensorizes univariate rules for multivariate expectations.
 """
+
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -23,6 +26,12 @@ DEFAULT_NODES = 64
 
 _BACKBONE_PANELS = 80
 _BACKBONE_ORDER = 24
+
+# Densities in the memo, which maps a density key to [alphas, offdiag,
+# {n_nodes: read-only (nodes, weights)}]; the least recently used goes first.
+_MEMO_DENSITIES = 32
+_memo = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 class QuadratureRule:
@@ -97,22 +106,48 @@ def _recurrence_coefficients(pts, mass, n):
     return alphas, offdiag
 
 
+def _memo_entry(density, n_rows):
+    """The density's memo entry, with at least n_rows rows; hold _memo_lock."""
+    key = (density.family, tuple(sorted(density.params.items())), density.support)
+    entry = _memo.setdefault(key, [(), (), {}])
+    _memo.move_to_end(key)
+    if len(_memo) > _MEMO_DENSITIES:
+        _memo.popitem(last=False)
+    if len(entry[0]) < n_rows:
+        entry[:2] = _recurrence_coefficients(*_backbone(density), n_rows)
+    return entry
+
+
+def _rows(density, n):
+    """First n rows of the density's orthonormal recurrence, as (alphas,
+    offdiag): p_{j+1} = ((x - alphas[j]) p_j - offdiag[j-1] p_{j-1}) / offdiag[j]."""
+    with _memo_lock:
+        alphas, offdiag, _ = _memo_entry(density, n)
+    return alphas[:n], offdiag[: n - 1]
+
+
 def build_rule(density, n_nodes=DEFAULT_NODES):
-    """Gauss rule with n_nodes points, exact to degree 2*n_nodes - 1."""
+    """Gauss rule with n_nodes points, exact to degree 2*n_nodes - 1; its
+    nodes and weights arrays are shared between calls and read-only."""
     if not isinstance(density, Density):
         raise TypeError("build_rule needs a Density")
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    pts, mass = _backbone(density)
-    alphas, offdiag = _recurrence_coefficients(pts, mass, n_nodes)
-    jacobi = np.diag(alphas)
-    if n_nodes > 1:
-        jacobi += np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    eigvals, eigvecs = np.linalg.eigh(jacobi)
-    weights = eigvecs[0] ** 2
-    weights = weights / weights.sum()
-    a, b = density.support
-    nodes = np.clip(eigvals, a, b)  # guard against 1-ulp excursions
+    with _memo_lock:
+        alphas, offdiag, rules = _memo_entry(density, n_nodes)
+        if n_nodes not in rules:
+            jacobi = np.diag(alphas[:n_nodes])
+            if n_nodes > 1:
+                offdiag = offdiag[: n_nodes - 1]
+                jacobi += np.diag(offdiag, 1) + np.diag(offdiag, -1)
+            eigvals, eigvecs = np.linalg.eigh(jacobi)
+            weights = eigvecs[0] ** 2
+            weights = weights / weights.sum()
+            a, b = density.support
+            nodes = np.clip(eigvals, a, b)  # guard against 1-ulp excursions
+            nodes.flags.writeable = weights.flags.writeable = False
+            rules[n_nodes] = (nodes, weights)
+        nodes, weights = rules[n_nodes]
     return QuadratureRule(nodes, weights, density, n_nodes)
 
 

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+import pce_loops
 from pce_loops.bench import program_path
-from pce_loops.cli import main
+from pce_loops.cli import build_parser, main
 from pce_loops.lang import parse
 
 TURNING = str(program_path("turning.ppl"))
@@ -33,6 +34,26 @@ def test_help_exits_zero():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+
+def test_public_names_and_subcommands_are_pinned():
+    assert pce_loops.__all__ == [
+        "Density", "RandomVector", "density_from_dict",
+        "MultiPoly", "UniPoly", "almost_equal",
+        "QuadratureRule", "build_rule", "convergence_report", "integrate",
+        "GramSchmidtError", "OrthonormalBasis", "gram_schmidt",
+        "DegreeMatrix", "LagrangeConditional", "PceExpansion",
+        "error_bound", "error_se", "expand", "lagrange_conditional",
+        "LoopProgram", "ParseError", "parse", "parse_expression", "parse_file",
+        "render", "validate_conditions",
+        "MomentTable", "PolynomializedProgram", "close_monomials",
+        "lagrange_schedule", "polynomialize", "propagate", "simulate",
+        "__version__",
+    ]
+    assert all(hasattr(pce_loops, name) for name in pce_loops.__all__)
+    sub = next(a for a in build_parser()._actions if a.dest == "cmd")
+    assert list(sub.choices) == ["expand", "orthopoly", "parse", "moments",
+                                 "simulate", "bench", "table2"]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pce_loops import quad
 from pce_loops.dist import Density
 from pce_loops.quad import build_rule, convergence_report, integrate
 
@@ -104,3 +105,29 @@ def test_rule_more_nodes_refines_hard_integrand():
     exact = 0.5
     errs = [abs(build_rule(d, n).expect(np.abs) - exact) for n in (8, 32, 128)]
     assert errs[2] < errs[0]
+
+
+def test_memoized_rule_is_bitwise_fresh_and_read_only():
+    params = (0.3, 0.7, -0.5, 1.9)
+    quad._memo.clear()
+    fresh = build_rule(Density.trunc_normal(*params), 64)
+    quad._memo.clear()
+    build_rule(Density.trunc_normal(*params), 128)
+    cut = build_rule(Density.trunc_normal(*params), 64)  # rows cut from the longer run
+    twin = Density.trunc_normal(*params)
+    again = build_rule(twin, 64)  # a second Density with equal params hits the memo
+    assert again.target is twin
+    assert again.nodes is cut.nodes and again.weights is cut.weights
+    for r in (cut, again):
+        assert r.nodes.tobytes() == fresh.nodes.tobytes()
+        assert r.weights.tobytes() == fresh.weights.tobytes()
+        with pytest.raises(ValueError):
+            r.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            r.weights[0] = 0.0
+
+
+def test_memo_keeps_a_bounded_number_of_densities():
+    for k in range(quad._MEMO_DENSITIES + 5):
+        build_rule(Density.uniform(0.0, 1.0 + k), 4)
+    assert len(quad._memo) == quad._MEMO_DENSITIES
