@@ -11,6 +11,7 @@ Parameter conventions: ``sigma`` is always a standard deviation, gamma uses
 mu +- 10 sigma, which loses less than 1e-22 of its mass.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -48,11 +49,18 @@ class Density:
             raise ValueError(f"empty support {support}")
         self.norm_const = float(norm_const)
         self._cdf_cache = None
+        self._moment_cache = {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def normal(cls, mu, sigma):
+        """N(mu, sigma^2), integrated over mu +- 10 sigma
+        (NORMAL_CUTOFF_SIGMAS).  The cut loses about 1.5e-23 of the mass, but
+        high orthogonal polynomials feel it: up to degree ~20 the basis built
+        on this density is Hermite's, above that it is this truncated
+        normal's (at degree 30 the recurrence coefficient b_j is 10% below
+        sqrt(j))."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         lo = mu - NORMAL_CUTOFF_SIGMAS * sigma
@@ -116,10 +124,16 @@ class Density:
         return 1.0 / mass
 
     def raw_moment(self, k):
-        """E[X^k] by quadrature.  raw_moment(0) is exactly 1."""
+        """E[X^k] by quadrature.  raw_moment(0) is exactly 1.  Each order is
+        computed once per instance and kept."""
         if k < 0 or k != int(k):
             raise ValueError("moment order must be a nonnegative integer")
         k = int(k)
+        if k not in self._moment_cache:
+            self._moment_cache[k] = self._raw_moment(k)
+        return self._moment_cache[k]
+
+    def _raw_moment(self, k):
         if k == 0:
             return 1.0
         # closed forms where cheap and exact
@@ -252,14 +266,22 @@ def _double_factorial(n):
     return out
 
 
-def _panel_integral(f, a, b, panels=64, nodes=24):
-    """Composite Gauss-Legendre integral of f on [a, b].
+@functools.cache
+def _panel_rule():
+    """The 24-node Gauss-Legendre rule on [-1, 1] that every panel of
+    _panel_integral uses, built on first use: building it at import would
+    load numpy.polynomial in processes that never integrate."""
+    return np.polynomial.legendre.leggauss(24)
+
+
+def _panel_integral(f, a, b, panels=64):
+    """Composite 24-node Gauss-Legendre integral of f on [a, b].
 
     Internal workhorse for normalization constants and fallbacks; the quad
     module builds proper Gauss rules against densities on top of the same
     backbone.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _panel_rule()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)

@@ -25,7 +25,7 @@ from .lang import (
     NUMPY_CALLS, Assign, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
 )
 from .pce import expand
-from .poly import MultiPoly
+from .poly import CLEANUP_REL, MultiPoly
 from .quad import DEFAULT_NODES
 
 __all__ = [
@@ -45,6 +45,12 @@ CLOSURE_LIMIT = 10**5
 # failure cheap, since substitution cost grows with the exponent.
 DEGREE_LIMIT = 200
 THREADS_ENV = "PCE_LOOPS_THREADS"
+# Frontier monomials per closure sweep, which bounds the arrays one sweep
+# holds.  At 64, the widest step of the degree-9 turning x^2*y^2 closure
+# holds 11k terms instead of 15k, and on a 2-vCPU x86-64 host the peak RSS
+# of a process running it is about 1 MiB lower, for about 5% more closure
+# time.
+_SWEEP_ROWS = 64
 
 # Reference germ used for accumulating-argument call sites when the caller
 # does not configure one.
@@ -337,60 +343,191 @@ def _estimator_unipoly(exp_obj):
     return [est.coefficient((k,)) for k in range(deg + 1)]
 
 
-def _integrate_out(poly, var, density, moments):
-    """E over one fresh draw: replace var^k by its raw moment (memoized in
-    the dict `moments`)."""
-    if poly.degree_in(var) == 0:
-        return poly
-    out = {}
-    for e, c in poly.terms.items():
-        k = e[var]
-        if k:
-            if k not in moments:
-                moments[k] = density.raw_moment(k)
-            c = c * moments[k]
-            e = e[:var] + (0,) + e[var + 1 :]
-        out[e] = out.get(e, 0.0) + c
-    return MultiPoly._pruned(poly.arity, out)
+# The closure kernel holds a set of terms as a table and a coefficient
+# vector: table is an int64 array of shape (len(all_vars) + 1, n) whose
+# column j holds term j's exponents followed by its row, the index of the
+# frontier monomial whose expectation the term belongs to.
 
 
-def one_step_expectation(pp, monomial, _memo=None):
-    """Expectation of a state monomial after one iteration, as a polynomial
-    in the previous iteration's state monomials.
+def _sort_columns(table):
+    """(order, starts): order sorts the columns of table so that equal ones
+    are adjacent, and starts flags each sorted position whose column differs
+    from the one before.
 
-    _memo maps a body position to its cache: the powers of an update's
-    polynomial, or the raw moments of a draw.  close_monomials shares one
-    memo across its whole closure.
-    """
-    memo = {} if _memo is None else _memo
-    arity = len(pp.all_vars)
-    exp = list(monomial) + [0] * len(pp.draw_vars)
-    poly = MultiPoly(arity, {tuple(exp): 1.0})
+    Each field is packed into as many bits as its largest entry needs, into
+    one int64 key when the entries present fit in 63 bits together;
+    otherwise the columns are sorted field by field."""
+    widths = [w.bit_length() for w in table.max(axis=1, initial=0).tolist()]
+    starts = np.ones(table.shape[1], dtype=bool)
+    if sum(widths) <= 63:
+        keys = np.left_shift(1, np.cumsum([0] + widths[:-1])) @ table
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts[1:] = keys[1:] != keys[:-1]
+    else:
+        order = np.lexsort(table)
+        columns = table[:, order]
+        starts[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    return order, starts
+
+
+def _first_occurrences(table):
+    """(group, pick): group[j] numbers the distinct column of term j, and
+    pick[g] is the first term of distinct column g.  Distinct columns are
+    numbered in order of first occurrence."""
+    order, starts = _sort_columns(table)
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[first] = True
+    rank = (np.cumsum(is_first) - 1)[first]   # per sorted distinct column
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = rank[np.cumsum(starts) - 1]
+    return group, np.flatnonzero(is_first)
+
+
+def _combine(table, coefs, n_rows):
+    """Add up the terms whose columns are equal, then prune each row.
+
+    Terms come back in order of first occurrence and each sum is formed in
+    input order, so every row is the dict that a MultiPoly operation
+    accumulating the same terms in the same order builds.  In each row,
+    zeros and terms below CLEANUP_REL times the row's largest |coefficient|
+    are dropped: MultiPoly's pruning rule."""
+    group, pick = _first_occurrences(table)
+    sums = np.bincount(group, weights=coefs, minlength=len(pick))
+    rows = table[-1, pick]
+    mags = np.abs(sums)
+    largest = np.zeros(n_rows)
+    np.maximum.at(largest, rows, mags)
+    keep = (mags >= CLEANUP_REL * largest[rows]) & (sums != 0.0)
+    return table[:, pick[keep]], sums[keep]
+
+
+def _powers(poly, top, powers):
+    """Extend the list powers so that powers[k] holds poly**k, for every
+    k <= top, as a (table with row 0, coefficients, MultiPoly) triple; each
+    power is one MultiPoly product of the one below and poly."""
+    if not powers:
+        powers.append(None)
+    while len(powers) <= top:
+        power = powers[-1][2] * poly if powers[-1] else poly
+        table = np.zeros((poly.arity + 1, len(power.terms)), dtype=np.int64)
+        table[:-1] = np.array(list(power.terms), dtype=np.int64).reshape(-1, poly.arity).T
+        powers.append((table, np.array(list(power.terms.values()), dtype=float), power))
+    return powers
+
+
+def _substitute(table, coefs, idx, powers):
+    """Replace field idx's k-th power by powers[k] in every term.  The terms
+    without the variable come first, then the products of each degree in
+    turn: each term of that degree, in input order, times every term of the
+    power, in the order MultiPoly multiplication visits the pairs."""
+    degrees = table[idx]
+    counts = np.bincount(degrees).tolist()
+    sizes = [c * len(powers[d][1]) if d else c for d, c in enumerate(counts)]
+    out = np.empty((len(table), sum(sizes)), dtype=table.dtype)
+    out_coefs = np.empty(sum(sizes))
+    end = 0
+    for d, size in enumerate(sizes):
+        if size:
+            sel = np.flatnonzero(degrees == d)
+            t, c = table[:, sel], coefs[sel]
+            if d:
+                t[idx] = 0
+                p_table, p_coefs, _ = powers[d]
+                t = (t[:, :, None] + p_table[:, None, :]).reshape(len(t), -1)
+                c = (c[:, None] * p_coefs).ravel()
+            out[:, end:end + size] = t
+            out_coefs[end:end + size] = c
+            end += size
+    return out, out_coefs
+
+
+def _integrate(table, coefs, idx, density):
+    """Replace field idx's k-th power by the raw moment E[w^k] of the
+    draw's density in every term."""
+    degrees = table[idx]
+    present = np.flatnonzero(np.bincount(degrees)).tolist()
+    factor = np.ones(present[-1] + 1)
+    for d in present:
+        if d:
+            factor[d] = density.raw_moment(d)
+    table = table.copy()
+    table[idx] = 0
+    return table, coefs * factor[degrees]
+
+
+def _sweep(pp, frontier, memo):
+    """One-step expectations of a frontier of state monomials, as a table
+    and coefficients; row r holds the expectation of frontier[r].
+
+    The whole frontier goes through the body in reverse order at once: an
+    update replaces var^k by the k-th power of its polynomial, a draw
+    replaces w^k by E[w^k], and equal terms are combined after each step.
+    memo maps an update's body position to its powers and may be shared
+    between sweeps over the same program."""
+    n = len(frontier)
+    k = len(pp.state_vars)
+    table = np.zeros((len(pp.all_vars) + 1, n), dtype=np.int64)
+    table[:k] = np.array(frontier, dtype=np.int64).reshape(n, k).T
+    table[-1] = np.arange(n)
+    coefs = np.ones(n)
     for pos in range(len(pp.body) - 1, -1, -1):
         kind, var, payload = pp.body[pos]
         idx = pp.var_index[var]
+        top = int(table[idx].max(initial=0))
+        if not top:
+            continue
         if kind == "assign":
-            if poly.degree_in(idx):
-                poly = poly.substitute(idx, payload, memo.setdefault(pos, {}))
+            powers = _powers(payload, top, memo.setdefault(pos, []))
+            table, coefs = _substitute(table, coefs, idx, powers)
         else:
-            poly = _integrate_out(poly, idx, payload, memo.setdefault(pos, {}))
-    for d in pp.draw_vars:
-        if poly.degree_in(pp.var_index[d]):
-            raise ValueError(
-                f"draw variable {d!r} survives the iteration; "
-                "draws must come before every use in the body"
-            )
-    return poly
+            table, coefs = _integrate(table, coefs, idx, payload)
+        table, coefs = _combine(table, coefs, n)
+    survivors = table[k:-1].any(axis=1)
+    if survivors.any():
+        d = pp.draw_vars[int(np.argmax(survivors))]
+        raise ValueError(
+            f"draw variable {d!r} survives the iteration; "
+            "draws must come before every use in the body"
+        )
+    return table, coefs
 
 
-def _state_monomials(pp, poly):
-    k = len(pp.state_vars)
-    return [e[:k] for e in poly.terms]
+def _to_polys(n_rows, table, coefs, interned):
+    """A sweep's terms as one MultiPoly per row, each row's terms in sweep
+    order.  Exponent tuples are taken from, and added to, the dict interned,
+    so that the polynomials of one closure share one tuple per monomial."""
+    by_row = np.argsort(table[-1], kind="stable")
+    table, coefs = table[:, by_row], coefs[by_row]
+    exps = table[:-1]
+    group, pick = _first_occurrences(exps)
+    canonical = np.empty(len(pick), dtype=object)
+    for g, e in enumerate(map(tuple, exps[:, pick].T.tolist())):
+        canonical[g] = interned.setdefault(e, e)
+    keys = canonical[group].tolist()
+    values = coefs.tolist()
+    polys, start = [], 0
+    for end in np.cumsum(np.bincount(table[-1], minlength=n_rows)).tolist():
+        polys.append(MultiPoly._trusted(len(exps), dict(zip(keys[start:end],
+                                                            values[start:end]))))
+        start = end
+    return polys
+
+
+def one_step_expectation(pp, monomial):
+    """Expectation of a state monomial after one iteration, as a polynomial
+    in the previous iteration's state monomials."""
+    return _to_polys(1, *_sweep(pp, [tuple(monomial)], {}), {})[0]
 
 
 def close_monomials(pp, targets):
     """Smallest monomial set containing the targets (plus the unit monomial
-    and the targets' first powers) closed under one-step expectation."""
+    and the targets' first powers) closed under one-step expectation.
+
+    The closure grows breadth first: each frontier of new monomials goes
+    through array sweeps of the body (_sweep), _SWEEP_ROWS monomials at a
+    time, and all sweeps share one memo of update powers."""
     k = len(pp.state_vars)
     seeds = {(0,) * k}
     for t in targets:
@@ -403,15 +540,20 @@ def close_monomials(pp, targets):
                 unit = [0] * k
                 unit[i] = 1
                 seeds.add(tuple(unit))
-    todo = list(seeds)
+    frontier = list(seeds)
     closure = set(seeds)
     step = {}
     memo = {}
-    while todo:
-        m = todo.pop()
-        poly = one_step_expectation(pp, m, memo)
-        step[m] = poly
-        for nm in _state_monomials(pp, poly):
+    interned = {}
+    while frontier:
+        seen = len(interned)
+        for i in range(0, len(frontier), _SWEEP_ROWS):
+            rows = frontier[i:i + _SWEEP_ROWS]
+            step.update(zip(rows, _to_polys(len(rows), *_sweep(pp, rows, memo), interned)))
+        frontier = []
+        # the monomials first met in this frontier's results
+        for e in list(interned)[seen:]:
+            nm = e[:k]
             if nm not in closure:
                 if sum(nm) > DEGREE_LIMIT:
                     raise ValueError(
@@ -419,7 +561,7 @@ def close_monomials(pp, targets):
                         "the loop is not moment-computable in this form"
                     )
                 closure.add(nm)
-                todo.append(nm)
+                frontier.append(nm)
                 if len(closure) > CLOSURE_LIMIT:
                     raise ValueError(
                         f"monomial closure exceeds {CLOSURE_LIMIT}; "

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pce_loops import dist
 from pce_loops.dist import Density, RandomVector, density_from_dict
 
 
@@ -159,3 +160,25 @@ def test_degenerate_interval_rejected():
         Density.trunc_normal(0.0, 1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         Density.normal(0.0, 0.0)
+
+
+def test_memoized_raw_moments_are_bitwise_fresh(monkeypatch):
+    def build():
+        return [Density.normal(1.5, 0.7), Density.uniform(-0.1, 0.3),
+                Density.trunc_normal(2.0, 0.1, 1.0, 3.0),
+                Density.trunc_gamma(2.0, 1.5, 0.5, 6.0)]
+
+    kept = build()
+    first = [[d.raw_moment(k) for k in range(13)] for d in kept]
+
+    # a second call must come from the memo, not from new quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("raw moment recomputed")
+
+    monkeypatch.setattr(dist, "_panel_integral", no_quadrature)
+    again = [[d.raw_moment(k) for k in range(13)] for d in kept]
+    monkeypatch.undo()
+    fresh = [[d.raw_moment(k) for k in range(13)] for d in build()]
+    assert np.array_equal(np.array(again), np.array(first))
+    assert np.array_equal(np.array(again), np.array(fresh))
+    assert kept[0].raw_moment(3.0) == kept[0].raw_moment(3)

@@ -22,6 +22,7 @@ from pce_loops.engine import (
     simulate,
 )
 from pce_loops.lang import Assign, BinOp, Const, DistDraw, Init, LoopProgram, Var, parse, parse_file
+from pce_loops.poly import MultiPoly
 
 COUNTER = "c = 0\nwhile true {\n c := c + 1\n}"
 WALK = "x = 0\nwhile true {\n w = Normal(0, 1)\n x := x + w\n}"
@@ -460,3 +461,101 @@ def test_propagate_matches_exact_rational_oracle():
             assert abs(got - float(exact[n])) <= 1e-12 * float(scale[n]), (seed, n)
             checked += exact[n] != 0
     assert checked > 400
+
+
+# -- per-monomial dict sweep -------------------------------------------------
+#
+# close_monomials sweeps a whole frontier of monomials through the body as
+# numpy arrays.  The oracle below is the per-monomial sweep it replaced:
+# MultiPoly.substitute for each update and a dict pass for each draw, in
+# reverse body order, one monomial at a time.
+
+
+def _dict_step(pp, monomial, memo):
+    """One-step expectation of monomial; memo caches update powers by body
+    position."""
+    poly = MultiPoly(len(pp.all_vars), {tuple(monomial) + (0,) * len(pp.draw_vars): 1.0})
+    for pos in range(len(pp.body) - 1, -1, -1):
+        kind, var, payload = pp.body[pos]
+        idx = pp.var_index[var]
+        if not poly.degree_in(idx):
+            continue
+        if kind == "assign":
+            poly = poly.substitute(idx, payload, memo.setdefault(pos, {}))
+            continue
+        out = {}
+        for e, c in poly.terms.items():
+            if e[idx]:
+                c = c * payload.raw_moment(e[idx])
+                e = e[:idx] + (0,) + e[idx + 1:]
+            out[e] = out.get(e, 0.0) + c
+        poly = MultiPoly._pruned(poly.arity, out)
+    return poly
+
+
+def _dict_closure(pp, seeds):
+    k = len(pp.state_vars)
+    step, todo, memo = {}, list(seeds), {}
+    while todo:
+        m = todo.pop()
+        if m not in step:
+            step[m] = _dict_step(pp, m, memo)
+            todo.extend(e[:k] for e in step[m].terms)
+    return step
+
+
+def _assert_kernel_matches_dict_sweep(pp, targets):
+    closure, step = close_monomials(pp, targets)
+    seeds = [(0,) * len(pp.state_vars)] + [tuple(t) for t in targets]
+    seeds += [tuple(int(j == i) for j in range(len(t))) for t in targets
+              for i, p in enumerate(t) if p]
+    want = _dict_closure(pp, seeds)
+    assert closure == set(want)
+    for m, poly in step.items():
+        row = want[m].terms
+        assert set(poly.terms) == set(row), m
+        scale = max(map(abs, row.values()), default=0.0)
+        for e, c in poly.terms.items():
+            assert abs(c - row[e]) <= 1e-13 * scale, (m, e)
+
+
+@pytest.mark.parametrize("name", ["turning.ppl", "turning_trunc.ppl"])
+@pytest.mark.parametrize("degree", [3, 5, 9])
+def test_closure_kernel_matches_dict_sweep_on_the_vehicle(name, degree):
+    pp = polynomialize(parse_file(program_path(name)), degree=degree)
+    for target in ("x", "x^4", "x^2*y^2"):
+        _assert_kernel_matches_dict_sweep(pp, [parse_monomial(target, pp.state_vars)])
+
+
+def test_closure_kernel_matches_dict_sweep_on_a_lagrange_schedule():
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
+    pp = lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8)
+    _assert_kernel_matches_dict_sweep(pp, [parse_monomial("x", pp.state_vars)])
+
+
+def test_closure_kernel_matches_dict_sweep_on_random_loops():
+    for seed in range(60):
+        rng = random.Random(seed)
+        program, _, state, _, _ = _random_call_free_loop(rng)
+        target = [0] * len(state)
+        for _ in range(rng.randint(1, 3)):
+            target[rng.randrange(len(state))] += 1
+        pp = polynomialize(program)
+        _assert_kernel_matches_dict_sweep(pp, [parse_monomial(format_monomial(target, state),
+                                                              pp.state_vars)])
+
+
+def test_closure_kernel_sorts_exponents_wider_than_63_bits(monkeypatch):
+    """Eight state variables whose draws all come first: once every update
+    is substituted, each x_i carries exponent 16 and each w_i exponent 112,
+    96 bits together, so terms are sorted field by field instead of by one
+    packed key."""
+    lines = [f"x{i} = 1" for i in range(8)] + ["while true {"]
+    lines += [f" w{i} = Uniform(0, 1)" for i in range(8)]
+    lines += [" x0 := x0 * w0^7 + 1"] + [f" x{i} := x{i} * w{i}^7" for i in range(1, 8)]
+    pp = polynomialize(parse("\n".join(lines + ["}"])))
+    lexsorts = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
+    _assert_kernel_matches_dict_sweep(pp, [(16,) * 8])
+    assert lexsorts
