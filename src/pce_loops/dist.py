@@ -143,6 +143,8 @@ class Density:
             return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
         if self.family == "Normal":
             return _normal_raw_moment(p["mu"], p["sigma"], k)
+        if k % 2 and self.family == "TruncNormal" and p["mu"] == 0 and p["a"] == -p["b"]:
+            return 0.0  # odd moment of a symmetric density
         val = _panel_integral(lambda x: x**k * self.pdf(x), *self.support)
         return float(val)
 
@@ -269,22 +271,28 @@ def _double_factorial(n):
 @functools.cache
 def _panel_rule():
     """The 24-node Gauss-Legendre rule on [-1, 1] that every panel of
-    _panel_integral uses, built on first use: building it at import would
+    _panels uses, built on first use: building it at import would
     load numpy.polynomial in processes that never integrate."""
     return np.polynomial.legendre.leggauss(24)
 
 
-def _panel_integral(f, a, b, panels=64):
-    """Composite 24-node Gauss-Legendre integral of f on [a, b].
-
-    Internal workhorse for normalization constants and fallbacks; the quad
-    module builds proper Gauss rules against densities on top of the same
-    backbone.
-    """
+def _panels(a, b, panels):
+    """(points, weights) of the composite rule that puts _panel_rule on each
+    of `panels` equal panels of [a, b]."""
     x, w = _panel_rule()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
+    return pts, wts
+
+
+def _panel_integral(f, a, b, panels=64):
+    """Composite 24-node Gauss-Legendre integral of f on [a, b].
+
+    Internal workhorse for normalization constants and fallbacks; the quad
+    module's Stieltjes backbone uses the same panels, 80 of them.
+    """
+    pts, wts = _panels(a, b, panels)
     return float(np.dot(wts, f(pts)))

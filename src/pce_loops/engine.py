@@ -22,10 +22,11 @@ import numpy as np
 
 from .dist import Density
 from .lang import (
-    NUMPY_CALLS, Assign, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
+    NUMPY_CALLS, Assign, BinOp, Call, Const, DistDraw, Init, LoopProgram, Pow, Var, eval_expr,
+    validate_conditions,
 )
-from .pce import expand
-from .poly import CLEANUP_REL, MultiPoly
+from .pce import expand, lagrange_conditional
+from .poly import MultiPoly
 from .quad import DEFAULT_NODES
 
 __all__ = [
@@ -294,12 +295,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
             "se": exp_obj.se,
         })
         site_counter[0] += 1
-        # Horner of the univariate estimator in the argument polynomial
-        uni = _estimator_unipoly(exp_obj)
-        acc = MultiPoly.constant(arity, uni[-1])
-        for c in reversed(uni[:-1]):
-            acc = acc * arg_poly + MultiPoly.constant(arity, c)
-        return acc
+        return _compose(exp_obj, arg_poly)
 
     def to_poly(e):
         if isinstance(e, Const):
@@ -336,11 +332,15 @@ def _infer_stable_germ(arg, draw_density):
     return None
 
 
-def _estimator_unipoly(exp_obj):
-    """Dense raw-variable coefficients of a univariate expansion estimator."""
-    est = exp_obj.estimator
-    deg = est.degree_in(0) if not est.is_zero() else 0
-    return [est.coefficient((k,)) for k in range(deg + 1)]
+def _compose(exp_obj, arg_poly):
+    """A univariate expansion's estimator with its germ replaced by the
+    polynomial arg_poly, by Horner's scheme."""
+    est, arity = exp_obj.estimator, arg_poly.arity
+    top = est.degree_in(0)
+    acc = MultiPoly.constant(arity, est.coefficient((top,)))
+    for k in range(top - 1, -1, -1):
+        acc = acc * arg_poly + MultiPoly.constant(arity, est.coefficient((k,)))
+    return acc
 
 
 # The closure kernel holds a set of terms as a table and a coefficient
@@ -385,21 +385,15 @@ def _first_occurrences(table):
     return group, np.flatnonzero(is_first)
 
 
-def _combine(table, coefs, n_rows):
-    """Add up the terms whose columns are equal, then prune each row.
+def _combine(table, coefs):
+    """Add up the terms whose columns are equal and drop the zero sums.
 
     Terms come back in order of first occurrence and each sum is formed in
     input order, so every row is the dict that a MultiPoly operation
-    accumulating the same terms in the same order builds.  In each row,
-    zeros and terms below CLEANUP_REL times the row's largest |coefficient|
-    are dropped: MultiPoly's pruning rule."""
+    accumulating the same terms in the same order builds."""
     group, pick = _first_occurrences(table)
     sums = np.bincount(group, weights=coefs, minlength=len(pick))
-    rows = table[-1, pick]
-    mags = np.abs(sums)
-    largest = np.zeros(n_rows)
-    np.maximum.at(largest, rows, mags)
-    keep = (mags >= CLEANUP_REL * largest[rows]) & (sums != 0.0)
+    keep = sums != 0.0
     return table[:, pick[keep]], sums[keep]
 
 
@@ -483,7 +477,7 @@ def _sweep(pp, frontier, memo):
             table, coefs = _substitute(table, coefs, idx, powers)
         else:
             table, coefs = _integrate(table, coefs, idx, payload)
-        table, coefs = _combine(table, coefs, n)
+        table, coefs = _combine(table, coefs)
     survivors = table[k:-1].any(axis=1)
     if survivors.any():
         d = pp.draw_vars[int(np.argmax(survivors))]
@@ -749,8 +743,6 @@ def lagrange_schedule(program, site_index, iterations, germs, degree=5,
     while counter in program.state_vars or counter in program.draw_vars:
         counter = counter + "_"
 
-    from .lang import Init, LoopProgram
-
     base = LoopProgram(
         program.inits + [Init(counter, 0.0)],
         [Assign(counter, BinOp("+", Var(counter), Const(1.0)))] + program.body,
@@ -758,24 +750,13 @@ def lagrange_schedule(program, site_index, iterations, germs, degree=5,
     )
     # site indices shift by any calls in the prepended update: none added
     expansions = [expand(fn, g, (degree,), n_nodes=n_nodes) for g in germs]
-    unis = [_estimator_unipoly(e) for e in expansions]
+    # counter is a state variable of `base`; find its polynomial index
+    counter_idx = [v for v in base.state_vars if v not in set(base.draw_vars)].index(counter)
 
     def override(arg_poly):
         arity = arg_poly.arity
-        # counter is a state variable of `base`; find its polynomial index
-        state_vars = [v for v in base.state_vars if v not in set(base.draw_vars)]
-        c_poly = MultiPoly.variable(arity, state_vars.index(counter))
-        total = MultiPoly(arity)
-        for n in range(1, iterations + 1):
-            sel = MultiPoly.constant(arity, 1.0)
-            for j in range(1, iterations + 1):
-                if j != n:
-                    sel = sel * ((c_poly - float(j)) * (1.0 / (n - j)))
-            horner = MultiPoly.constant(arity, unis[n - 1][-1])
-            for coef in reversed(unis[n - 1][:-1]):
-                horner = horner * arg_poly + MultiPoly.constant(arity, coef)
-            total = total + sel * horner
-        return total
+        polys = [_compose(e, arg_poly) for e in expansions]
+        return lagrange_conditional(polys).as_multipoly(counter_idx, arity, range(arity))
 
     pp = polynomialize(base, degree=degree, n_nodes=n_nodes,
                        _site_overrides={site_index: override})

@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 MAX_ROWS = 10**6
+# Estimator terms below CLEANUP_REL times the largest |coefficient| are
+# dropped.  They are quadrature noise in the Fourier coefficients and the
+# recurrence, such as ~1e-17 odd terms of cos under a symmetric germ, and
+# each one would otherwise seed ghost monomials in every loop closure that
+# substitutes the estimator.  This is the one place coefficients are pruned.
+CLEANUP_REL = 1e-14
 
 
 class DegreeMatrix:
@@ -160,7 +166,8 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
 
 
 def _assemble_estimator(bases, D, coeffs):
-    """Sum of coefficient * product of univariate basis polynomials (raw x)."""
+    """Sum of coefficient * product of univariate basis polynomials (raw x),
+    without the terms below CLEANUP_REL times the largest |coefficient|."""
     k = D.k
     uni = [[p.to_multi(k, i) for p in bases[i].polys] for i in range(k)]
     total = MultiPoly(k)
@@ -172,7 +179,8 @@ def _assemble_estimator(bases, D, coeffs):
             if deg:
                 term = term * uni[i][deg]
         total = total + term
-    return total
+    cap = CLEANUP_REL * max(map(abs, total.terms.values()), default=0.0)
+    return MultiPoly._trusted(k, {e: c for e, c in total.terms.items() if abs(c) >= cap})
 
 
 def _residual_se(values, coeff_tensor, mats, rules):

@@ -2,9 +2,9 @@
 
 UniPoly stores a dense coefficient list indexed by degree; MultiPoly maps
 exponent tuples to coefficients and is the workhorse for estimator assembly
-and loop-update substitution.  All arithmetic is plain float arithmetic with
-a relative cleanup threshold so that repeated substitution does not grow
-thousands of ~1e-17 ghost terms.
+and loop-update substitution.  Arithmetic is plain float arithmetic that
+drops only exact zeros: coefficient noise is pruned once, where it arises,
+when pce assembles an expansion's estimator.
 """
 
 import math
@@ -12,10 +12,7 @@ from operator import add, itemgetter
 
 import numpy as np
 
-__all__ = ["UniPoly", "MultiPoly", "CLEANUP_REL"]
-
-# Terms with |c| below CLEANUP_REL * max|c| are dropped after arithmetic.
-CLEANUP_REL = 1e-14
+__all__ = ["UniPoly", "MultiPoly"]
 
 
 class UniPoly:
@@ -122,13 +119,10 @@ class MultiPoly:
 
     @classmethod
     def _pruned(cls, arity, terms):
-        """Like _trusted, but first drop zeros and terms below CLEANUP_REL
-        times the largest |coefficient|, in place: terms must be a dict the
-        caller owns."""
-        if terms:
-            cap = CLEANUP_REL * max(map(abs, terms.values()))
-            for e in [e for e, c in terms.items() if not (abs(c) >= cap and c != 0.0)]:
-                del terms[e]
+        """Like _trusted, but first drop the zero coefficients, in place:
+        terms must be a dict the caller owns."""
+        for e in [e for e, c in terms.items() if c == 0.0]:
+            del terms[e]
         return cls._trusted(arity, terms)
 
     # -- constructors ------------------------------------------------------

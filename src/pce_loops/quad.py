@@ -16,7 +16,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .dist import Density
+from .dist import Density, _panels
 
 __all__ = ["QuadratureRule", "build_rule", "integrate", "convergence_report", "DEFAULT_NODES"]
 
@@ -25,7 +25,6 @@ __all__ = ["QuadratureRule", "build_rule", "integrate", "convergence_report", "D
 DEFAULT_NODES = 64
 
 _BACKBONE_PANELS = 80
-_BACKBONE_ORDER = 24
 
 # Densities in the memo, which maps a density key to [alphas, offdiag,
 # {n_nodes: read-only (nodes, weights)}]; the least recently used goes first.
@@ -67,13 +66,8 @@ def _backbone(density):
     the weights; total mass normalized to exactly 1 so downstream rules
     inherit sum(weights) == 1.
     """
-    a, b = density.support
-    x, w = np.polynomial.legendre.leggauss(_BACKBONE_ORDER)
-    edges = np.linspace(a, b, _BACKBONE_PANELS + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    mass = (half[:, None] * w[None, :]).ravel() * density.pdf(pts)
+    pts, wts = _panels(*density.support, _BACKBONE_PANELS)
+    mass = wts * density.pdf(pts)
     total = mass.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError(f"density {density!r} has non-finite mass on its support")

@@ -59,6 +59,14 @@ def test_trunc_normal_wide_interval_matches_normal():
         assert wide.raw_moment(k) == pytest.approx(free.raw_moment(k), abs=1e-12)
 
 
+def test_symmetric_trunc_normal_odd_moments_are_exact_zeros():
+    # quadrature would leave ~1e-19 here, enough to seed ghost odd terms
+    d = Density.trunc_normal(0.0, 0.1, -1.0, 1.0)
+    assert all(d.raw_moment(k) == 0.0 for k in range(1, 16, 2))
+    assert d.raw_moment(2) > 0.0
+    assert Density.trunc_normal(0.0, 0.1, -1.0, 2.0).raw_moment(1) != 0.0
+
+
 def test_trunc_gamma_exponential_case():
     # shape 1 is a truncated exponential with scale 3; moments by parts
     theta, a, b = 3.0, 0.5, 1.0

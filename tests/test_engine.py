@@ -1,8 +1,10 @@
 """Moment propagation engine against hand-derived closed forms and an exact
 rational oracle."""
 
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +242,18 @@ def test_lagrange_schedule_tracks_drifting_argument():
     assert "lagrange" in schemes
 
 
+def test_lagrange_schedule_holds_to_twelve_iterations():
+    # the selectors reach degree 11 in the counter, and their terms cancel
+    # down to about 3e-10 of E[x_12]; a relative coefficient cut in the
+    # closure would leave 1e-4
+    N = 12
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, N + 1)]
+    t = propagate(lagrange_schedule(parse(DRIFT), 0, N, germs, degree=8), ["x"], N)
+    for n in range(1, N + 1):
+        truth = sum(math.exp(0.125 * m) for m in range(1, n + 1))
+        assert t.value(n, "x") == pytest.approx(truth, rel=1e-8)
+
+
 def test_lagrange_single_iteration_reduces_to_plain_expansion():
     prog = parse(DRIFT)
     germ = Density.normal(0.0, 0.5)
@@ -294,6 +308,17 @@ def test_degree9_turning_closure_sizes_are_pinned():
     sizes = {t: len(close_monomials(pp, [parse_monomial(t, pp.state_vars)])[0])
              for t in ("x^4", "x^2*y^2")}
     assert sizes == {"x^4": 175, "x^2*y^2": 314}
+
+
+def test_trunc_turning_closure_sizes_match_the_untruncated_ones():
+    """Symmetric truncated germs and draws hold exact parity zeros, so they
+    seed no ghost odd terms."""
+    sizes = {}
+    for name in ("turning.ppl", "turning_trunc.ppl"):
+        pp = polynomialize(parse_file(program_path(name)), degree=9)
+        sizes[name] = [len(close_monomials(pp, [parse_monomial(t, pp.state_vars)])[0])
+                       for t in ("x", "x^4", "x^2*y^2")]
+    assert sizes["turning_trunc.ppl"] == sizes["turning.ppl"] == [11, 175, 314]
 
 
 def test_propagate_is_bit_identical_to_the_scalar_loop():
@@ -461,6 +486,46 @@ def test_propagate_matches_exact_rational_oracle():
             assert abs(got - float(exact[n])) <= 1e-12 * float(scale[n]), (seed, n)
             checked += exact[n] != 0
     assert checked > 400
+
+
+def test_degree9_turning_matches_exact_rational_propagation(monkeypatch):
+    """The degree-9 turning vehicle's E[y^4_10] against exact rational
+    propagation of the same polynomialized program, every float it holds
+    taken as the rational it is: only rounding may separate the two."""
+    # the oracle asks for the same raw moment once per term
+    monkeypatch.setattr(sys.modules[__name__], "_q_moment", functools.cache(_q_moment))
+    program = parse_file(program_path("turning.ppl"))
+    pp = polynomialize(program, degree=9)
+    k = len(pp.state_vars)
+
+    def exact(density):
+        return density.family, tuple(map(Fraction, density.params.values()))
+
+    body = [(kind, var, exact(p) if kind == "draw" else
+             {e: Fraction(c) for e, c in p.terms.items()}) for kind, var, p in pp.body]
+    target = parse_monomial("y^4", pp.state_vars)
+    step, todo = {}, [target]
+    while todo:
+        m = todo.pop()
+        if m not in step:
+            poly = _q_one_step(body, pp.var_index, m, len(pp.all_vars))
+            step[m] = {e[:k]: c for e, c in poly.items()}
+            todo.extend(step[m])
+    inits = {i.var: exact(i.value) for i in program.inits}
+    start = {m: math.prod(_q_moment(*inits[v], p) for v, p in zip(pp.state_vars, m))
+             for m in step}
+    # iterate integer numerators over common denominators: as exact as
+    # Fraction sums, without a gcd per operation
+    den = math.lcm(*(c.denominator for row in step.values() for c in row.values()))
+    rows = {m: [(e, c.numerator * (den // c.denominator)) for e, c in row.items()]
+            for m, row in step.items()}
+    den0 = math.lcm(*(v.denominator for v in start.values()))
+    num = {m: v.numerator * (den0 // v.denominator) for m, v in start.items()}
+    for _ in range(10):
+        num = {m: sum(c * num[e] for e, c in row) for m, row in rows.items()}
+    want = Fraction(num[target], den0 * den**10)
+    got = propagate(pp, [target], 10).value(10, target)
+    assert abs(got / float(want) - 1.0) <= 1e-14
 
 
 # -- per-monomial dict sweep -------------------------------------------------
