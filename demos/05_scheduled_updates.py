@@ -1,12 +1,12 @@
-"""Iteration-indexed expansions stitched together with Lagrange selectors.
+"""Iteration-indexed expansions: one step map per iteration.
 
 In `s := s + w; x := x + exp(s)` the argument of exp spreads out over time
 (s_n ~ Normal(0, 0.25 n)), so no single fixed germ models it well at every
 iteration.  The scheduled scheme expands exp against a different germ for
-each n <= N and combines the N polynomials with Lagrange selectors in a
-prepended counter variable.  Inside the horizon it matches the closed-form
-mean to near machine precision at small n, while a fixed reference germ
-carries a small but systematic bias at every iteration.
+each n <= N and applies iteration n's polynomialized loop at iteration n.
+Inside the horizon it matches the closed-form mean to machine precision,
+while a fixed reference germ carries a small but systematic bias at every
+iteration.  Past the horizon propagate refuses to extrapolate.
 """
 
 import math

@@ -462,7 +462,8 @@ def build_parser():
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: PCE_LOOPS_THREADS or 4)")
+                   help="worker threads (default: PCE_LOOPS_THREADS, else the CPU count "
+                        "up to 4)")
     p.add_argument("--tau", type=float, default=0.1)
     _add_common(p, "csv")
     p.set_defaults(fn_=cmd_simulate)

@@ -22,10 +22,9 @@ import numpy as np
 
 from .dist import Density
 from .lang import (
-    NUMPY_CALLS, Assign, BinOp, Call, Const, DistDraw, Init, LoopProgram, Pow, Var, eval_expr,
-    validate_conditions,
+    NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
 )
-from .pce import expand, lagrange_conditional
+from .pce import expand
 from .poly import MultiPoly
 from .quad import DEFAULT_NODES
 
@@ -94,13 +93,16 @@ class MomentTable:
         return float(self.stderr[n, self.column(monomial)])
 
     def variance(self, n, var):
-        """Var(var) at iteration n; needs both first and second moments."""
+        """Var(var) at iteration n; needs both first and second moments.
+
+        A negative difference is rounding up to 1e-9 of max(1, E[var^2])."""
         i = self.vars.index(var)
         first = [0] * len(self.vars)
         second = list(first)
         first[i], second[i] = 1, 2
-        v = self.value(n, second) - self.value(n, first) ** 2
-        if v < -1e-9:
+        square = self.value(n, second)
+        v = square - self.value(n, first) ** 2
+        if v < -1e-9 * max(1.0, square):
             raise ArithmeticError(f"negative variance {v:.3e} for {var} at n={n}")
         return max(v, 0.0)
 
@@ -152,6 +154,9 @@ class PolynomializedProgram:
     Variable space for body polynomials: state variables first, then the
     per-iteration draw variables.  provenance holds one record per replaced
     call site with the expansion degree, germ model, coefficients and se.
+    schedule is empty for a loop whose every iteration runs body; for an
+    iteration-indexed loop (lagrange_schedule) it holds one program per
+    iteration, and body, the first one's, is never swept on its own.
     """
 
     def __init__(self, program, state_vars, draw_vars, body, provenance):
@@ -162,6 +167,7 @@ class PolynomializedProgram:
         self.var_index = {v: i for i, v in enumerate(self.all_vars)}
         self.body = list(body)  # ("draw", var, Density) | ("assign", var, MultiPoly)
         self.provenance = list(provenance)
+        self.schedule = ()
 
     @property
     def name(self):
@@ -230,8 +236,7 @@ def _shifted_density(d, a, b):
     return None
 
 
-def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_NODES,
-                  _site_overrides=None):
+def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_NODES):
     """Replace non-polynomial calls with PCE polynomials.
 
     degree and germ set the default expansion config; per_site maps a call
@@ -243,7 +248,6 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     report = validate_conditions(program)
     sites = report["call_sites"]
     per_site = per_site or {}
-    overrides = _site_overrides or {}
     draw_density = {u.var: u.density for u in program.body if isinstance(u, DistDraw)}
 
     state_vars = [v for v in program.state_vars if v not in draw_density]
@@ -274,10 +278,6 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
 
     def replace_call(call, arg_poly):
         site = sites[site_counter[0]]
-        if site_counter[0] in overrides:
-            poly = overrides[site_counter[0]](arg_poly)
-            site_counter[0] += 1
-            return poly
         deg, g = site_config(site, call.arg)
         key = (call.fn, g.family, tuple(sorted(g.params.items())), deg, n_nodes)
         if key not in cache:
@@ -460,6 +460,11 @@ def _sweep(pp, frontier, memo):
     replaces w^k by E[w^k], and equal terms are combined after each step.
     memo maps an update's body position to its powers and may be shared
     between sweeps over the same program."""
+    if pp.schedule:
+        raise ValueError(
+            "a scheduled program has one step map per iteration; "
+            "propagate it, or close the programs of its schedule"
+        )
     n = len(frontier)
     k = len(pp.state_vars)
     table = np.zeros((len(pp.all_vars) + 1, n), dtype=np.int64)
@@ -594,7 +599,9 @@ def propagate(pp, targets, iterations):
 
     pp may be a PolynomializedProgram or a call-free LoopProgram.  targets
     are monomial strings ("x", "x^2*y") or exponent tuples over the state
-    variables.
+    variables.  A scheduled program applies its n-th program's step map at
+    iteration n, over a monomial set closed under every one of them, and
+    refuses to go past its last iteration.
     """
     if not isinstance(pp, PolynomializedProgram):
         pp = polynomialize(pp)
@@ -602,26 +609,37 @@ def propagate(pp, targets, iterations):
         parse_monomial(t, pp.state_vars) if isinstance(t, str) else tuple(t)
         for t in targets
     ]
-    closure, step = close_monomials(pp, tgt)
-    order = sorted(closure)
+    bodies = pp.schedule or (pp,)
+    if pp.schedule and iterations > len(bodies):
+        raise ValueError(f"the schedule covers {len(bodies)} iterations, not {iterations}")
+    # each body is closed over the union so far, so bodies that share a
+    # support take one sweep each after the first
+    order, closed = tgt, []
+    while not closed or any(len(closure) < len(order) for closure, _ in closed):
+        closed = []
+        for body in bodies:
+            closed.append(close_monomials(body, order))
+            order = sorted(set(order).union(closed[-1][0]))
     col = {m: i for i, m in enumerate(order)}
     k = len(pp.state_vars)
 
-    # the step map as COO triplets in closure order; bincount adds each
+    # each step map as COO triplets in closure order; bincount adds each
     # row's terms in that order, as a plain loop over them would
-    rows, cols, data = [], [], []
-    for r, m in enumerate(order):
-        for e, c in step[m].terms.items():
-            rows.append(r)
-            cols.append(col[e[:k]])
-            data.append(c)
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    data = np.array(data, dtype=float)
+    maps = []
+    for _, step in closed:
+        rows, cols, data = [], [], []
+        for r, m in enumerate(order):
+            for e, c in step[m].terms.items():
+                rows.append(r)
+                cols.append(col[e[:k]])
+                data.append(c)
+        maps.append((np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                     np.array(data, dtype=float)))
 
     values = np.empty((iterations + 1, len(order)))
     values[0] = _initial_moments(pp, order)
     for n in range(1, iterations + 1):
+        rows, cols, data = maps[min(n, len(maps)) - 1]
         values[n] = np.bincount(rows, weights=data * values[n - 1][cols],
                                 minlength=len(order))
     unit = col[(0,) * k]
@@ -722,56 +740,34 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
 
 
 def lagrange_schedule(program, site_index, iterations, germs, degree=5,
-                      counter="n_iter", n_nodes=DEFAULT_NODES):
-    """Replace one accumulating call site by a counter-conditioned estimator.
+                      n_nodes=DEFAULT_NODES):
+    """Expand one accumulating call site against a different germ at each
+    iteration.
 
     germs supplies the argument's distribution model at each iteration
-    n = 1..iterations; the site's function is expanded against each, and the
-    per-iteration polynomials are stitched together with Lagrange selectors
-    in a fresh counter variable that the loop increments first.
+    n = 1..iterations.  Iteration n's program is the loop polynomialized
+    with germs[n - 1] at the site, and the returned program's schedule
+    holds the N of them; propagate applies the n-th one's step map at
+    iteration n, up to N and no further.  The site appears in provenance
+    once per iteration.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration (N >= 1)")
     germs = list(germs)
     if len(germs) != iterations:
         raise ValueError(f"need {iterations} germ models, got {len(germs)}")
-    report = validate_conditions(program)
-    if site_index >= len(report["call_sites"]):
+    if site_index >= len(validate_conditions(program)["call_sites"]):
         raise ValueError(f"no call site {site_index}")
-    site = report["call_sites"][site_index]
-    fn = NUMPY_CALLS[site["function"]]
-    while counter in program.state_vars or counter in program.draw_vars:
-        counter = counter + "_"
-
-    base = LoopProgram(
-        program.inits + [Init(counter, 0.0)],
-        [Assign(counter, BinOp("+", Var(counter), Const(1.0)))] + program.body,
-        name=program.name,
+    schedule = tuple(
+        polynomialize(program, degree, n_nodes=n_nodes, per_site={site_index: {"germ": g}})
+        for g in germs
     )
-    # site indices shift by any calls in the prepended update: none added
-    expansions = [expand(fn, g, (degree,), n_nodes=n_nodes) for g in germs]
-    # counter is a state variable of `base`; find its polynomial index
-    counter_idx = [v for v in base.state_vars if v not in set(base.draw_vars)].index(counter)
-
-    def override(arg_poly):
-        arity = arg_poly.arity
-        polys = [_compose(e, arg_poly) for e in expansions]
-        return lagrange_conditional(polys).as_multipoly(counter_idx, arity, range(arity))
-
-    pp = polynomialize(base, degree=degree, n_nodes=n_nodes,
-                       _site_overrides={site_index: override})
-    for n, e in enumerate(expansions, start=1):
-        pp.provenance.append({
-            "site": site_index,
-            "update": site["update"],
-            "function": site["function"],
-            "argument": site["argument"],
-            "iteration_stable": False,
-            "scheme": "lagrange",
-            "iteration": n,
-            "germ": germs[n - 1].to_dict(),
-            "degree": degree,
-            "coeffs": [float(c) for c in e.coeffs],
-            "se": e.se,
-        })
+    first = schedule[0]
+    provenance = [p for p in first.provenance if p["site"] != site_index]
+    provenance += [dict(p, scheme="lagrange", iteration=n)
+                   for n, step in enumerate(schedule, start=1)
+                   for p in step.provenance if p["site"] == site_index]
+    pp = PolynomializedProgram(program, first.state_vars, first.draw_vars, first.body,
+                               provenance)
+    pp.schedule = schedule
     return pp

@@ -6,7 +6,7 @@ whose per-variable degrees stay within a degree vector; the Fourier
 coefficients are tensor-product quadrature integrals, the estimator is the
 assembled multivariate polynomial, and se is the L2 norm of the residual
 under the joint density.  Also here: the normal-reference error bound and
-the iteration-conditioned Lagrange estimator used by the loop engine.
+the paper's iteration-conditioned Lagrange estimator.
 """
 
 import itertools
@@ -250,8 +250,10 @@ class LagrangeConditional:
     Holds polynomials P_1 .. P_N (one per iteration); the combined estimator
     sum_n P_n * prod_{j != n} (c - j) / (n - j) hits P_n exactly when the
     counter c equals n.  evaluate() uses the product form of the selector to
-    keep that exactness; as_multipoly() expands everything for substitution
-    into a loop program.
+    keep that exactness; as_multipoly() expands everything into monomials of
+    the counter up to degree N - 1, whose terms cancel in floating point
+    once N passes about 12.  The loop engine therefore applies one step map
+    per iteration instead (engine.lagrange_schedule).
     """
 
     def __init__(self, polys):

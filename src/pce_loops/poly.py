@@ -61,14 +61,6 @@ class UniPoly:
     def __sub__(self, other):
         return self + (other * -1.0 if isinstance(other, UniPoly) else UniPoly([-other]))
 
-    def compose_affine(self, a, b):
-        """Return p(a*x + b) as a new UniPoly (Horner over polynomials)."""
-        inner = UniPoly([b, a])
-        acc = UniPoly([self.coeffs[-1]])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner + UniPoly([c])
-        return acc
-
     def to_multi(self, arity, var):
         """Embed as a MultiPoly in `arity` variables, acting on variable `var`."""
         terms = {}

@@ -24,6 +24,7 @@ from pce_loops.engine import (
     simulate,
 )
 from pce_loops.lang import Assign, BinOp, Const, DistDraw, Init, LoopProgram, Var, parse, parse_file
+from pce_loops.pce import expand
 from pce_loops.poly import MultiPoly
 
 COUNTER = "c = 0\nwhile true {\n c := c + 1\n}"
@@ -233,7 +234,7 @@ def test_lagrange_schedule_tracks_drifting_argument():
     N = 8
     germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, N + 1)]
     pp = lagrange_schedule(prog, 0, N, germs, degree=8)
-    assert "n_iter" in pp.state_vars
+    assert pp.state_vars == ["s", "x"]
     t = propagate(pp, ["x"], N)
     for n in range(1, N + 1):
         truth = sum(math.exp(0.125 * m) for m in range(1, n + 1))
@@ -242,16 +243,48 @@ def test_lagrange_schedule_tracks_drifting_argument():
     assert "lagrange" in schemes
 
 
-def test_lagrange_schedule_holds_to_twelve_iterations():
-    # the selectors reach degree 11 in the counter, and their terms cancel
-    # down to about 3e-10 of E[x_12]; a relative coefficient cut in the
-    # closure would leave 1e-4
-    N = 12
+@pytest.mark.parametrize("N", [12, 24])
+def test_lagrange_schedule_holds_to_the_horizon(N):
+    # exact to rounding at any horizon; N = 24 is far past where one
+    # counter polynomial of degree N - 1 holding all N expansions cancels
     germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, N + 1)]
     t = propagate(lagrange_schedule(parse(DRIFT), 0, N, germs, degree=8), ["x"], N)
     for n in range(1, N + 1):
         truth = sum(math.exp(0.125 * m) for m in range(1, n + 1))
-        assert t.value(n, "x") == pytest.approx(truth, rel=1e-8)
+        assert t.value(n, "x") == pytest.approx(truth, rel=1e-10)
+
+
+def test_lagrange_schedule_refuses_past_the_horizon():
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 5)]
+    pp = lagrange_schedule(parse(DRIFT), 0, 4, germs, degree=6)
+    assert propagate(pp, ["x"], 3).iterations == 3
+    with pytest.raises(ValueError, match="covers 4 iterations"):
+        propagate(pp, ["x"], 5)
+    with pytest.raises(ValueError, match="one step map per iteration"):
+        close_monomials(pp, [parse_monomial("x", pp.state_vars)])
+    with pytest.raises(ValueError, match="one step map per iteration"):
+        one_step_expectation(pp, parse_monomial("x", pp.state_vars))
+
+
+def test_lagrange_schedule_closes_under_every_iteration():
+    # cos expanded against a centred germ is even, so iteration 1 never
+    # reaches odd powers of s; the shifted germs of even iterations do, and
+    # the shared monomial set must hold them from the start
+    src = "s = 0\nx = 0\nwhile true {\n w = Normal(0, 0.5)\n s := s + w\n x := x + cos(s)\n}"
+    N, degree = 4, 6
+    germs = [Density.normal(0.1 * (n % 2 == 0), 0.5 * math.sqrt(n)) for n in range(1, N + 1)]
+    pp = lagrange_schedule(parse(src), 0, N, germs, degree=degree)
+    first, _ = close_monomials(pp.schedule[0], [(0, 1)])
+    t = propagate(pp, ["x"], N)
+    assert (1, 0) not in first and (1, 0) in t.monomials
+    # s_n ~ Normal(0, 0.25 n) exactly, so E[x_n] sums each iteration's
+    # estimator over that law's raw moments
+    truth = 0.0
+    for n in range(1, N + 1):
+        est = expand(np.cos, germs[n - 1], (degree,)).estimator
+        law = Density.normal(0.0, 0.5 * math.sqrt(n))
+        truth += sum(est.coefficient((k,)) * law.raw_moment(k) for k in range(degree + 1))
+        assert t.value(n, "x") == pytest.approx(truth, rel=1e-13)
 
 
 def test_lagrange_single_iteration_reduces_to_plain_expansion():
@@ -260,12 +293,6 @@ def test_lagrange_single_iteration_reduces_to_plain_expansion():
     via_schedule = propagate(lagrange_schedule(prog, 0, 1, [germ], degree=6), ["x"], 1)
     via_plain = propagate(polynomialize(prog, degree=6, germ=germ), ["x"], 1)
     assert via_schedule.value(1, "x") == pytest.approx(via_plain.value(1, "x"), abs=1e-12)
-
-
-def test_lagrange_counter_name_avoids_collision():
-    src = "n_iter = 3\nx = 0\nwhile true {\n w = Normal(0, 1)\n n_iter := n_iter\n x := x + exp(w)\n}"
-    pp = lagrange_schedule(parse(src), 0, 2, [Density.normal(0, 1)] * 2, degree=4)
-    assert "n_iter_" in pp.state_vars
 
 
 def test_lagrange_validates_inputs():
@@ -286,6 +313,14 @@ def test_moment_table_guards():
         t.value(0, "z")
     with pytest.raises(KeyError):
         t.value(0, (3,))
+
+
+def test_variance_tolerates_rounding_at_large_scale():
+    # x_n = 12345.678 n exactly, so E[x^2] - E[x]^2 is rounding of about
+    # 1e-16 of E[x^2] (2.6e10 at n = 13), which is no negative variance
+    t = propagate(parse("x = 0\nwhile true {\n x := x + 12345.678\n}"), ["x", "x^2"], 1000)
+    for n in range(t.iterations + 1):
+        assert t.variance(n, "x") <= 1e-9 * t.value(n, "x^2")
 
 
 def test_moment_table_rows_shape():
@@ -594,8 +629,8 @@ def test_closure_kernel_matches_dict_sweep_on_the_vehicle(name, degree):
 
 def test_closure_kernel_matches_dict_sweep_on_a_lagrange_schedule():
     germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
-    pp = lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8)
-    _assert_kernel_matches_dict_sweep(pp, [parse_monomial("x", pp.state_vars)])
+    for pp in lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8).schedule:
+        _assert_kernel_matches_dict_sweep(pp, [parse_monomial("x", pp.state_vars)])
 
 
 def test_closure_kernel_matches_dict_sweep_on_random_loops():

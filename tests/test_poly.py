@@ -20,14 +20,6 @@ def test_unipoly_evaluation_and_arithmetic():
     assert p.degree() == 2 and (p * p).degree() == 4
 
 
-def test_unipoly_compose_affine():
-    # p(a x + b) evaluated directly
-    p = UniPoly([2.0, 0.0, 1.0, -0.5])
-    comp = p.compose_affine(3.0, -1.0)
-    for x in (-2.0, 0.0, 0.7, 5.0):
-        assert comp(x) == pytest.approx(p(3.0 * x - 1.0), rel=1e-12)
-
-
 def test_multipoly_constructors_and_eval():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
