@@ -345,7 +345,7 @@ def cmd_bench(args):
         _emit(_csv_text(BENCH_HEADER, csv_rows), args.out)
     if any(r["status"] == "FAIL" for r in reports):
         return EXIT_NUMERIC
-    if any(r["status"] == "SKIPPED" for r in reports):
+    if all(r["status"] == "SKIPPED" for r in reports):
         return EXIT_SKIPPED
     return EXIT_OK
 
@@ -399,10 +399,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low):
+    """argparse type for an integer count of at least low."""
+
+    def count(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def _add_common(p, fmt_default, fmt_choices=("csv", "json")):
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-    p.add_argument("--quad-nodes", type=int, default=DEFAULT_NODES,
+    p.add_argument("--quad-nodes", type=_at_least(1), default=DEFAULT_NODES,
                    help="Gauss nodes per dimension")
 
 
@@ -448,7 +463,7 @@ def build_parser():
     p.add_argument("--target", action="append", default=None,
                    help="monomial like x or x^2*y (repeatable); default: "
                         "every state variable")
-    p.add_argument("--n", type=int, required=True, help="iterations")
+    p.add_argument("--n", type=_at_least(0), required=True, help="iterations")
     p.add_argument("--degrees", default="5", help="expansion degree")
     p.add_argument("--tau", type=float, default=0.1)
     _add_common(p, "csv")
@@ -458,8 +473,8 @@ def build_parser():
                        help="Monte Carlo moments under the original semantics")
     p.add_argument("file")
     p.add_argument("--target", action="append", default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--samples", type=_at_least(1), default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: PCE_LOOPS_THREADS, else the CPU count "
@@ -472,7 +487,7 @@ def build_parser():
                        help="run benchmark suites against their reference values")
     p.add_argument("suite", nargs="*", default=[],
                    help=f"one or more of: {', '.join(bench_mod.SUITES)}")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=_at_least(1), default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-sim", action="store_true",
                    help="skip the Monte Carlo cross-check")

@@ -1,11 +1,15 @@
 """Loop transformation and moment computation.
 
 polynomialize replaces every sin/cos/exp/log call in a loop by its PCE
-polynomial (germ substituted by the call argument), close_monomials finds
-the finite monomial set a target's expectation recursion lives on, and
-propagate turns one loop iteration into a linear map on that set, giving
-exact per-iteration moments.  simulate runs the original program forward
-under its true semantics as the independent Monte Carlo oracle.
+polynomial (germ substituted by the call argument); expansions are memoized
+across calls, so re-polynomializing a program expands nothing twice.
+close_monomials finds the finite monomial set a target's expectation
+recursion lives on, with each member's one-step expectation as a MultiPoly,
+and propagate turns one loop iteration into a linear map on that set,
+giving exact per-iteration moments.  Both rest on _close, whose step map
+goes from the array closure kernel to np.bincount as arrays; only
+close_monomials builds MultiPoly rows.  simulate runs the original program
+forward under its true semantics as the independent Monte Carlo oracle.
 
 Sequential update semantics throughout: each update sees the values written
 by the updates above it in the body.  Expectations of a monomial after one
@@ -16,6 +20,8 @@ integrating out each fresh draw with the raw moments of its distribution
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,12 +51,19 @@ CLOSURE_LIMIT = 10**5
 # failure cheap, since substitution cost grows with the exponent.
 DEGREE_LIMIT = 200
 THREADS_ENV = "PCE_LOOPS_THREADS"
-# Frontier monomials per closure sweep, which bounds the arrays one sweep
+# Monomials per closure sweep, which bounds the arrays one sweep
 # holds.  At 64, the widest step of the degree-9 turning x^2*y^2 closure
 # holds 11k terms instead of 15k, and on a 2-vCPU x86-64 host the peak RSS
 # of a process running it is about 1 MiB lower, for about 5% more closure
 # time.
 _SWEEP_ROWS = 64
+
+# Expansions in the memo of polynomialize, which maps (function, germ family,
+# germ params, degree, n_nodes) to expand's result; the least recently used
+# goes first.
+_MEMO_EXPANSIONS = 64
+_expansions = OrderedDict()
+_expansions_lock = threading.Lock()
 
 # Reference germ used for accumulating-argument call sites when the caller
 # does not configure one.
@@ -256,7 +269,6 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     index = {v: i for i, v in enumerate(all_vars)}
     arity = len(all_vars)
 
-    cache = {}
     provenance = []
     site_counter = [0]
 
@@ -279,10 +291,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     def replace_call(call, arg_poly):
         site = sites[site_counter[0]]
         deg, g = site_config(site, call.arg)
-        key = (call.fn, g.family, tuple(sorted(g.params.items())), deg, n_nodes)
-        if key not in cache:
-            cache[key] = expand(NUMPY_CALLS[call.fn], g, (deg,), n_nodes=n_nodes)
-        exp_obj = cache[key]
+        exp_obj = _expansion(call.fn, g, deg, n_nodes)
         provenance.append({
             "site": site_counter[0],
             "update": site["update"],
@@ -318,6 +327,19 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         else:
             body.append(("assign", u.var, to_poly(u.expr)))
     return PolynomializedProgram(program, state_vars, draw_vars, body, provenance)
+
+
+def _expansion(fn, germ, degree, n_nodes):
+    """expand's result for one call site, memoized across calls."""
+    key = (fn, germ.family, tuple(sorted(germ.params.items())), degree, n_nodes)
+    with _expansions_lock:
+        if key in _expansions:
+            _expansions.move_to_end(key)
+        else:
+            _expansions[key] = expand(NUMPY_CALLS[fn], germ, (degree,), n_nodes=n_nodes)
+            if len(_expansions) > _MEMO_EXPANSIONS:
+                _expansions.popitem(last=False)
+        return _expansions[key]
 
 
 def _infer_stable_germ(arg, draw_density):
@@ -493,40 +515,26 @@ def _sweep(pp, frontier, memo):
     return table, coefs
 
 
-def _to_polys(n_rows, table, coefs, interned):
-    """A sweep's terms as one MultiPoly per row, each row's terms in sweep
-    order.  Exponent tuples are taken from, and added to, the dict interned,
-    so that the polynomials of one closure share one tuple per monomial."""
-    by_row = np.argsort(table[-1], kind="stable")
-    table, coefs = table[:, by_row], coefs[by_row]
-    exps = table[:-1]
-    group, pick = _first_occurrences(exps)
-    canonical = np.empty(len(pick), dtype=object)
-    for g, e in enumerate(map(tuple, exps[:, pick].T.tolist())):
-        canonical[g] = interned.setdefault(e, e)
-    keys = canonical[group].tolist()
-    values = coefs.tolist()
-    polys, start = [], 0
-    for end in np.cumsum(np.bincount(table[-1], minlength=n_rows)).tolist():
-        polys.append(MultiPoly._trusted(len(exps), dict(zip(keys[start:end],
-                                                            values[start:end]))))
-        start = end
-    return polys
-
-
 def one_step_expectation(pp, monomial):
     """Expectation of a state monomial after one iteration, as a polynomial
     in the previous iteration's state monomials."""
-    return _to_polys(1, *_sweep(pp, [tuple(monomial)], {}), {})[0]
+    table, coefs = _sweep(pp, [tuple(monomial)], {})
+    return MultiPoly._trusted(len(pp.all_vars), dict(zip(map(tuple, table[:-1].T.tolist()),
+                                                          coefs.tolist())))
 
 
-def close_monomials(pp, targets):
-    """Smallest monomial set containing the targets (plus the unit monomial
-    and the targets' first powers) closed under one-step expectation.
+def _close(pp, targets):
+    """close_monomials' closure in sorted order, and its step map as COO
+    triplets (rows, cols, data) over that order.
 
-    The closure grows breadth first: each frontier of new monomials goes
-    through array sweeps of the body (_sweep), _SWEEP_ROWS monomials at a
-    time, and all sweeps share one memo of update powers."""
+    Monomials are numbered as they are met and swept in that order, which is
+    breadth first, _SWEEP_ROWS at a time, all sweeps sharing one memo of
+    update powers; a term's row is its sweep's row field plus the number of
+    the sweep's first monomial, and its column the number of its state
+    exponents, looked up once per distinct exponent column.  Draw exponents
+    are zero after a sweep and are dropped with the table.  A stable sort by
+    row keeps each row's terms in sweep order, so np.bincount adds them in
+    the order MultiPoly arithmetic would."""
     k = len(pp.state_vars)
     seeds = {(0,) * k}
     for t in targets:
@@ -539,34 +547,58 @@ def close_monomials(pp, targets):
                 unit = [0] * k
                 unit[i] = 1
                 seeds.add(tuple(unit))
-    frontier = list(seeds)
-    closure = set(seeds)
-    step = {}
+    monomials = list(seeds)
+    number = {m: i for i, m in enumerate(monomials)}
     memo = {}
-    interned = {}
-    while frontier:
-        seen = len(interned)
-        for i in range(0, len(frontier), _SWEEP_ROWS):
-            rows = frontier[i:i + _SWEEP_ROWS]
-            step.update(zip(rows, _to_polys(len(rows), *_sweep(pp, rows, memo), interned)))
-        frontier = []
-        # the monomials first met in this frontier's results
-        for e in list(interned)[seen:]:
-            nm = e[:k]
-            if nm not in closure:
-                if sum(nm) > DEGREE_LIMIT:
+    rows, cols, data = [], [], []
+    swept = 0
+    while swept < len(monomials):
+        block = monomials[swept:swept + _SWEEP_ROWS]
+        table, coefs = _sweep(pp, block, memo)
+        group, pick = _first_occurrences(table[:k])
+        met = []
+        for m in map(tuple, table[:k, pick].T.tolist()):
+            if m not in number:
+                if sum(m) > DEGREE_LIMIT:
                     raise ValueError(
-                        f"monomial degree {sum(nm)} exceeds {DEGREE_LIMIT}; "
+                        f"monomial degree {sum(m)} exceeds {DEGREE_LIMIT}; "
                         "the loop is not moment-computable in this form"
                     )
-                closure.add(nm)
-                frontier.append(nm)
-                if len(closure) > CLOSURE_LIMIT:
+                number[m] = len(monomials)
+                monomials.append(m)
+                if len(monomials) > CLOSURE_LIMIT:
                     raise ValueError(
                         f"monomial closure exceeds {CLOSURE_LIMIT}; "
                         "the loop is not moment-computable in this form"
                     )
-    return closure, step
+            met.append(number[m])
+        rows.append(table[-1] + swept)
+        cols.append(np.array(met, dtype=np.intp)[group])
+        data.append(coefs)
+        swept += len(block)
+    by_number = sorted(range(len(monomials)), key=monomials.__getitem__)
+    rank = np.empty(len(monomials), dtype=np.intp)
+    rank[by_number] = np.arange(len(monomials))
+    rows = rank[np.concatenate(rows)]
+    by_row = np.argsort(rows, kind="stable")
+    cols = rank[np.concatenate(cols)]
+    order = [monomials[i] for i in by_number]
+    return order, (rows[by_row], cols[by_row], np.concatenate(data)[by_row])
+
+
+def close_monomials(pp, targets):
+    """Smallest monomial set containing the targets (plus the unit monomial
+    and the targets' first powers) closed under one-step expectation, and
+    each member's one-step expectation as a MultiPoly over all variables
+    (draw exponents zero), its terms in the order they were made."""
+    order, (rows, cols, data) = _close(pp, targets)
+    pad = (0,) * len(pp.draw_vars)
+    full = [m + pad for m in order]
+    terms = list(zip(map(full.__getitem__, cols.tolist()), data.tolist()))
+    ends = np.searchsorted(rows, np.arange(len(order) + 1)).tolist()
+    step = {m: MultiPoly._trusted(len(pp.all_vars), dict(terms[a:b]))
+            for m, a, b in zip(order, ends, ends[1:])}
+    return set(order), step
 
 
 def _initial_moments(pp, monomials):
@@ -603,6 +635,8 @@ def propagate(pp, targets, iterations):
     iteration n, over a monomial set closed under every one of them, and
     refuses to go past its last iteration.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     if not isinstance(pp, PolynomializedProgram):
         pp = polynomialize(pp)
     tgt = [
@@ -612,37 +646,23 @@ def propagate(pp, targets, iterations):
     bodies = pp.schedule or (pp,)
     if pp.schedule and iterations > len(bodies):
         raise ValueError(f"the schedule covers {len(bodies)} iterations, not {iterations}")
-    # each body is closed over the union so far, so bodies that share a
-    # support take one sweep each after the first
+    # each body is closed over the closure so far, so bodies that share a
+    # support take one sweep each after the first; every body's closure
+    # holds the set it was closed over, and the last one is the union
     order, closed = tgt, []
     while not closed or any(len(closure) < len(order) for closure, _ in closed):
         closed = []
         for body in bodies:
-            closed.append(close_monomials(body, order))
-            order = sorted(set(order).union(closed[-1][0]))
-    col = {m: i for i, m in enumerate(order)}
-    k = len(pp.state_vars)
-
-    # each step map as COO triplets in closure order; bincount adds each
-    # row's terms in that order, as a plain loop over them would
-    maps = []
-    for _, step in closed:
-        rows, cols, data = [], [], []
-        for r, m in enumerate(order):
-            for e, c in step[m].terms.items():
-                rows.append(r)
-                cols.append(col[e[:k]])
-                data.append(c)
-        maps.append((np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                     np.array(data, dtype=float)))
+            closed.append(_close(body, order))
+            order = closed[-1][0]
 
     values = np.empty((iterations + 1, len(order)))
     values[0] = _initial_moments(pp, order)
     for n in range(1, iterations + 1):
-        rows, cols, data = maps[min(n, len(maps)) - 1]
+        rows, cols, data = closed[min(n, len(closed)) - 1][1]
         values[n] = np.bincount(rows, weights=data * values[n - 1][cols],
                                 minlength=len(order))
-    unit = col[(0,) * k]
+    unit = order.index((0,) * len(pp.state_vars))
     if abs(values[:, unit] - 1.0).max() > 1e-9:
         raise ArithmeticError("E[1] drifted away from 1 during propagation")
     return MomentTable(pp.state_vars, order, values, targets=tgt)
@@ -670,6 +690,10 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
     Reproducible for a fixed seed regardless of thread count: sample chunks
     get independent child seeds and partial sums merge in chunk order.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     state_vars = [v for v in program.state_vars if v not in set(program.draw_vars)]
     if targets is None:
         tgt = []

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import pce_loops
+from pce_loops import cli
 from pce_loops.bench import program_path
 from pce_loops.cli import build_parser, main
 from pce_loops.lang import parse
@@ -260,6 +261,38 @@ def test_bench_exit_codes(capsys):
     code, _, err = run(["bench", "nope"], capsys)
     assert code == 1
     assert "unknown suite" in err
+
+
+def test_bench_exits_skipped_only_when_every_suite_is(capsys, monkeypatch):
+    code, out, _ = run(["bench", "--no-sim", "taylor-rule", "turning-vehicle"], capsys)
+    assert code == 0
+    assert "SKIPPED(transcription-needed)" in out and "Turning vehicle model" in out
+    code, _, _ = run(["bench", "--no-sim", "taylor-rule"], capsys)
+    assert code == 3
+    real = cli.bench_mod.run_benchmark
+    monkeypatch.setattr(cli.bench_mod, "run_benchmark",
+                        lambda suite, **kw: dict(real(suite, **kw), status="FAIL")
+                        if suite == "turning-vehicle" else real(suite, **kw))
+    code, _, _ = run(["bench", "--no-sim", "taylor-rule", "turning-vehicle"], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["moments", TURNING, "--n", "-1"], "--n"),
+    (["simulate", TURNING, "--n", "-1"], "--n"),
+    (["simulate", TURNING, "--n", "2", "--samples", "0"], "--samples"),
+    (["bench", "turning-vehicle", "--samples", "-5"], "--samples"),
+    (["moments", TURNING, "--n", "two"], "--n"),
+    (["moments", TURNING, "--n", "2", "--quad-nodes", "0"], "--quad-nodes"),
+])
+def test_bad_counts_are_usage_errors(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert "Traceback" not in err
 
 
 def test_bench_vehicle_matches_references(capsys):

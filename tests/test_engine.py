@@ -5,11 +5,14 @@ import functools
 import math
 import random
 import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pce_loops import engine
 from pce_loops.bench import program_path
 from pce_loops.dist import Density
 from pce_loops.engine import (
@@ -215,6 +218,17 @@ def test_simulate_reproducible_for_fixed_seed():
     assert np.array_equal(a.stderr, b.stderr)
     d = simulate(prog, 5, samples=30_000, seed=12, chunk_size=10_000, threads=3)
     assert not np.array_equal(a.values, d.values)
+
+
+def test_negative_iterations_and_empty_samples_are_refused():
+    prog = parse(WALK)
+    with pytest.raises(ValueError, match="iterations"):
+        propagate(prog, ["x"], -1)
+    with pytest.raises(ValueError, match="iterations"):
+        simulate(prog, -1, samples=10)
+    with pytest.raises(ValueError, match="samples"):
+        simulate(prog, 3, samples=0)
+    assert propagate(prog, ["x"], 0).iterations == 0
 
 
 def test_simulate_default_targets_are_first_moments():
@@ -659,3 +673,166 @@ def test_closure_kernel_sorts_exponents_wider_than_63_bits(monkeypatch):
     monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
     _assert_kernel_matches_dict_sweep(pp, [(16,) * 8])
     assert lexsorts
+
+
+# -- array step map against the MultiPoly rows --------------------------------
+#
+# propagate iterates step maps that go from the closure kernel to np.bincount
+# as arrays.  The oracle rebuilds each map from close_monomials' MultiPoly
+# rows, in row order and each row's term order, as propagate once did.  A
+# schedule's monomial set is closed under every one of its bodies, so each
+# body is closed over that whole set.
+
+
+def _assert_propagate_matches_multipoly_rows(pp, targets, iterations):
+    table = propagate(pp, targets, iterations)
+    order = table.monomials
+    col = {m: i for i, m in enumerate(order)}
+    k = len(pp.state_vars)
+    maps = []
+    for body in pp.schedule or (pp,):
+        closure, step = close_monomials(body, order if pp.schedule else table.targets)
+        assert closure == set(order)
+        rows, cols, data = [], [], []
+        for r, m in enumerate(order):
+            for e, c in step[m].terms.items():
+                rows.append(r)
+                cols.append(col[e[:k]])
+                data.append(c)
+        maps.append((np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                     np.array(data, dtype=float)))
+    values = table.values[:1]
+    for n in range(1, iterations + 1):
+        rows, cols, data = maps[min(n, len(maps)) - 1]
+        values = np.vstack([values, np.bincount(rows, weights=data * values[-1][cols],
+                                                minlength=len(order))])
+    assert values.tobytes() == table.values.tobytes()
+
+
+@pytest.mark.parametrize("degree", [3, 5, 9])
+def test_step_map_arrays_match_multipoly_rows_on_the_vehicle(degree):
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=degree)
+    for target in ("x", "x^4", "x^2*y^2"):
+        _assert_propagate_matches_multipoly_rows(pp, [target], 20)
+        # the rows are the per-monomial dict sweep's, term order included,
+        # so bincount adds every row as that sweep's arithmetic would
+        m = parse_monomial(target, pp.state_vars)
+        _, step = close_monomials(pp, [m])
+        want = _dict_closure(pp, [(0,) * len(m), m] + [
+            tuple(int(j == i) for j in range(len(m))) for i, p in enumerate(m) if p])
+        assert all(list(step[r].terms.items()) == list(want[r].terms.items()) for r in step)
+
+
+def test_step_map_arrays_match_multipoly_rows_on_a_lagrange_schedule():
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
+    _assert_propagate_matches_multipoly_rows(
+        lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8), ["x"], 8)
+
+
+def test_step_map_arrays_match_multipoly_rows_on_random_loops():
+    for seed in range(60):
+        rng = random.Random(seed)
+        program, _, state, _, _ = _random_call_free_loop(rng)
+        target = [0] * len(state)
+        for _ in range(rng.randint(1, 3)):
+            target[rng.randrange(len(state))] += 1
+        pp = polynomialize(program)
+        _assert_propagate_matches_multipoly_rows(
+            pp, [parse_monomial(format_monomial(target, state), pp.state_vars)], 10)
+
+
+def test_step_map_arrays_match_multipoly_rows_wider_than_63_bits(monkeypatch):
+    """The loop of test_closure_kernel_sorts_exponents_wider_than_63_bits."""
+    lines = [f"x{i} = 1" for i in range(8)] + ["while true {"]
+    lines += [f" w{i} = Uniform(0, 1)" for i in range(8)]
+    lines += [" x0 := x0 * w0^7 + 1"] + [f" x{i} := x{i} * w{i}^7" for i in range(1, 8)]
+    pp = polynomialize(parse("\n".join(lines + ["}"])))
+    lexsorts = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
+    _assert_propagate_matches_multipoly_rows(pp, [(16,) * 8], 5)
+    assert lexsorts
+
+
+# -- expansion memo ------------------------------------------------------------
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """An empty expansion memo, and the list of keys expand is called for."""
+    calls = []
+    real_expand = engine.expand
+
+    def counted(g, germ, degrees, n_nodes):
+        calls.append((g, germ.family, tuple(sorted(germ.params.items())), degrees, n_nodes))
+        return real_expand(g, germ, degrees, n_nodes=n_nodes)
+
+    monkeypatch.setattr(engine, "_expansions", OrderedDict())
+    monkeypatch.setattr(engine, "expand", counted)
+    return calls
+
+
+def _body_terms(pp):
+    return [(kind, var, list(p.terms.items()) if kind == "assign" else p)
+            for kind, var, p in pp.body]
+
+
+def test_second_polynomialize_reuses_every_expansion(expand_calls):
+    prog = parse_file(program_path("turning.ppl"))
+    first = polynomialize(prog, degree=5)
+    assert len(expand_calls) == 2   # sin and cos under one germ
+    second = polynomialize(prog, degree=5)
+    assert len(expand_calls) == 2
+    assert second.provenance == first.provenance
+    assert second.provenance is not first.provenance
+    assert _body_terms(second) == _body_terms(first)
+
+
+def test_expansion_memo_keys_on_germ_degree_and_nodes(expand_calls):
+    prog = parse_file(program_path("turning.ppl"))
+    polynomialize(prog, degree=5)
+    polynomialize(prog, degree=5, per_site={0: {"germ": Density.normal(0.0, 2.0)}})
+    assert len(expand_calls) == 3
+    polynomialize(prog, degree=6)
+    assert len(expand_calls) == 5
+    polynomialize(prog, degree=5, n_nodes=48)
+    assert len(expand_calls) == 7
+    assert len(set(expand_calls)) == 7 == len(engine._expansions)
+    polynomialize(prog, degree=6)
+    assert len(expand_calls) == 7
+
+
+def test_expansion_memo_is_bounded(expand_calls, monkeypatch):
+    monkeypatch.setattr(engine, "_MEMO_EXPANSIONS", 3)
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 7)]
+    pp = lagrange_schedule(parse(DRIFT), 0, 6, germs, degree=4)
+    assert len(expand_calls) == 6
+    assert len(engine._expansions) == 3
+    # the least recently used goes first, and a hit counts as a use
+    def params():
+        return [key[2] for key in engine._expansions]
+
+    assert params() == [call[2] for call in expand_calls[3:]]
+    polynomialize(parse(DRIFT), degree=4, germ=germs[3])
+    polynomialize(parse(DRIFT), degree=4, germ=germs[0])
+    assert len(expand_calls) == 7
+    assert params() == [expand_calls[i][2] for i in (5, 3, 6)]
+    assert propagate(pp, ["x"], 6).values.tobytes() == propagate(
+        lagrange_schedule(parse(DRIFT), 0, 6, germs, degree=4), ["x"], 6).values.tobytes()
+
+
+def test_concurrent_polynomialize_gives_identical_programs(expand_calls):
+    prog = parse_file(program_path("turning.ppl"))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(polynomialize, prog, degree=d) for d in (3, 9) * 4]
+            programs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(expand_calls) == len(set(expand_calls)) == 4
+    for pp in programs:
+        want = polynomialize(prog, degree=len(pp.provenance[0]["coeffs"]) - 1)
+        assert pp.provenance == want.provenance
+        assert _body_terms(pp) == _body_terms(want)
