@@ -112,9 +112,12 @@ def _emit(text, out):
 
 def _parse_degrees(text):
     try:
-        return tuple(int(p) for p in text.split(","))
+        degrees = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"--degrees expects integers like '2,2', got {text!r}")
+    if any(d < 0 for d in degrees):
+        raise UsageError(f"--degrees must be nonnegative, got {text!r}")
+    return degrees
 
 
 def _load_germs(text):
@@ -476,7 +479,7 @@ def build_parser():
     p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--samples", type=_at_least(1), default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_at_least(1), default=None,
                    help="worker threads (default: PCE_LOOPS_THREADS, else the CPU count "
                         "up to 4)")
     p.add_argument("--tau", type=float, default=0.1)

@@ -673,7 +673,7 @@ def propagate(pp, targets, iterations):
 
 def _thread_count(requested=None):
     if requested is not None:
-        return max(1, int(requested))
+        return int(requested)
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -694,6 +694,8 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     state_vars = [v for v in program.state_vars if v not in set(program.draw_vars)]
     if targets is None:
         tgt = []

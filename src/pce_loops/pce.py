@@ -4,9 +4,10 @@ Given a square-integrable function g of k independent basic variables, the
 expansion keeps every product of univariate orthonormal basis polynomials
 whose per-variable degrees stay within a degree vector; the Fourier
 coefficients are tensor-product quadrature integrals, the estimator is the
-assembled multivariate polynomial, and se is the L2 norm of the residual
-under the joint density.  Also here: the normal-reference error bound and
-the paper's iteration-conditioned Lagrange estimator.
+assembled multivariate polynomial (built on first read, since callers that
+need only coefficients or errors never read it), and se is the L2 norm of
+the residual under the joint density.  Also here: the normal-reference error
+bound and the paper's iteration-conditioned Lagrange estimator.
 """
 
 import itertools
@@ -81,13 +82,21 @@ class DegreeMatrix:
 class PceExpansion:
     """A built expansion: bases, degree matrix, coefficients, estimator, se."""
 
-    def __init__(self, germs, bases, D, coeffs, estimator, se):
+    def __init__(self, germs, bases, D, coeffs, se):
         self.germs = germs
         self.bases = bases
         self.D = D
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.estimator = estimator
         self.se = float(se)
+        self._estimator = None
+
+    @property
+    def estimator(self):
+        """The assembled MultiPoly, built on first read.  Concurrent first
+        reads may each assemble it; the builds are bitwise equal."""
+        if self._estimator is None:
+            self._estimator = _assemble_estimator(self.bases, self.D, self.coeffs)
+        return self._estimator
 
     def moments(self):
         """(mean, variance) of the truncated expansion.
@@ -109,23 +118,48 @@ class PceExpansion:
         )
 
 
-def _grid_values(g, rules):
+def _grid(g, germs, n_nodes):
+    """(rules, values): the germs' n_nodes Gauss rules and g on their tensor grid."""
+    rules = [build_rule(d, n_nodes) for d in germs]
     grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij", sparse=True)
     vals = np.asarray(g(*grids), dtype=float)
-    return np.broadcast_to(vals, tuple(len(r) for r in rules)).copy()
+    return rules, np.broadcast_to(vals, tuple(len(r) for r in rules)).copy()
 
 
-def _check_square_integrable(values, rules, weight_tensors):
+def _check_square_integrable(values, rules):
     """Numeric stand-in for the L2 precondition: finite values, finite int g^2."""
     if not np.isfinite(values).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
         node = tuple(float(rules[d].nodes[idx[d]]) for d in range(len(rules)))
         raise ValueError(f"function is not finite at germ point {node}")
     sq = values**2
-    for wt in reversed(weight_tensors):
-        sq = sq @ wt
+    for r in reversed(rules):
+        sq = sq @ r.weights
     if not np.isfinite(sq):
         raise ValueError("integral of g^2 is not finite; g is not square-integrable here")
+
+
+def _bases(germs, degrees):
+    """One checked orthonormal basis per germ, of the matching degree."""
+    return [gram_schmidt(d, deg) for d, deg in zip(germs, degrees)]
+
+
+def _project(values, rules, bases):
+    """(coefficient tensor, basis value matrices) of checked grid values.
+
+    Axis i of the tensor runs over degrees 0 .. bases[i].max_degree, so its
+    row-major order is the degree-matrix order.  Contracting the value
+    tensor with each weighted basis matrix in turn yields every coefficient.
+    """
+    mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
+    coeff_tensor = values
+    for mat, r in zip(mats, rules):
+        # move leading node axis to the back as a degree axis
+        coeff_tensor = np.tensordot(coeff_tensor, r.weights[:, None] * mat, axes=([0], [0]))
+    if not np.isfinite(coeff_tensor).all():
+        row = tuple(int(i) for i in np.argwhere(~np.isfinite(coeff_tensor))[0])
+        raise ValueError(f"coefficient for degree row {row} is not finite")
+    return coeff_tensor, mats
 
 
 def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
@@ -141,28 +175,12 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
     if len(degrees) != len(germs):
         raise ValueError(f"{len(degrees)} degrees for {len(germs)} germs")
     D = DegreeMatrix(degrees)
-    bases = [gram_schmidt(d, deg) for d, deg in zip(germs, degrees)]
-    rules = [build_rule(d, n_nodes) for d in germs]
-
-    values = _grid_values(g, rules)
-    _check_square_integrable(values, rules, [r.weights for r in rules])
-
-    # Per-dimension matrices of basis values; contracting the value tensor
-    # with each weighted one in turn yields the whole coefficient tensor.
-    mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
-    coeff_tensor = values
-    for mat, r in zip(mats, rules):
-        # move leading node axis to the back as a degree axis
-        coeff_tensor = np.tensordot(coeff_tensor, r.weights[:, None] * mat, axes=([0], [0]))
-    coeffs = coeff_tensor.reshape(-1)  # row-major == degree-matrix order
-
-    if not np.isfinite(coeffs).all():
-        j = int(np.argwhere(~np.isfinite(coeffs))[0])
-        raise ValueError(f"coefficient for degree row {D[j]} is not finite")
-
+    bases = _bases(germs, degrees)
+    rules, values = _grid(g, germs, n_nodes)
+    _check_square_integrable(values, rules)
+    coeff_tensor, mats = _project(values, rules, bases)
     se = _residual_se(values, coeff_tensor, mats, rules)
-    estimator = _assemble_estimator(bases, D, coeffs)
-    return PceExpansion(germs, bases, D, coeffs, estimator, se)
+    return PceExpansion(germs, bases, D, coeff_tensor.reshape(-1), se)
 
 
 def _assemble_estimator(bases, D, coeffs):
@@ -189,7 +207,8 @@ def _residual_se(values, coeff_tensor, mats, rules):
     approx = coeff_tensor
     for mat in mats:
         approx = np.tensordot(approx, mat, axes=([0], [1]))
-    resid_sq = (values - approx) ** 2
+    # approx is a fresh array: reuse it for the residual and its square
+    resid_sq = np.square(np.subtract(values, approx, out=approx), out=approx)
     for r in reversed(rules):
         resid_sq = resid_sq @ r.weights
     return math.sqrt(max(float(resid_sq), 0.0))
@@ -197,10 +216,10 @@ def _residual_se(values, coeff_tensor, mats, rules):
 
 def error_se(expansion, g, n_nodes=DEFAULT_NODES):
     """Recompute sqrt(int (g - ghat)^2 dF) for an existing expansion."""
-    rules = [build_rule(d, n_nodes) for d in expansion.germs]
+    rules, values = _grid(g, expansion.germs, n_nodes)
     mats = [b.eval_matrix(r.nodes) for b, r in zip(expansion.bases, rules)]
     shape = tuple(deg + 1 for deg in expansion.D.degrees)
-    return _residual_se(_grid_values(g, rules), expansion.coeffs.reshape(shape), mats, rules)
+    return _residual_se(values, expansion.coeffs.reshape(shape), mats, rules)
 
 
 # -- degree-independent error bound under a truncated density --------------

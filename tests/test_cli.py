@@ -284,6 +284,8 @@ def test_bench_exits_skipped_only_when_every_suite_is(capsys, monkeypatch):
     (["bench", "turning-vehicle", "--samples", "-5"], "--samples"),
     (["moments", TURNING, "--n", "two"], "--n"),
     (["moments", TURNING, "--n", "2", "--quad-nodes", "0"], "--quad-nodes"),
+    (["simulate", TURNING, "--n", "2", "--threads", "-3"], "--threads"),
+    (["simulate", TURNING, "--n", "2", "--threads", "0"], "--threads"),
 ])
 def test_bad_counts_are_usage_errors(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -293,6 +295,20 @@ def test_bad_counts_are_usage_errors(argv, option, capsys):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {option}:" in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", TURNING, "--n", "2", "--degrees", "-1"],
+    ["expand", "--fn", "log(x + y)", "--germs",
+     '[{"family": "Uniform", "a": 1, "b": 2}, {"family": "Uniform", "a": 1, "b": 2}]',
+     "--degrees", "2,-1"],
+])
+def test_negative_degrees_are_usage_errors(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--degrees must be nonnegative" in errors[0]
+    assert "numeric failure" not in err and "Traceback" not in err
 
 
 def test_bench_vehicle_matches_references(capsys):

@@ -231,6 +231,12 @@ def test_negative_iterations_and_empty_samples_are_refused():
     assert propagate(prog, ["x"], 0).iterations == 0
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_simulate_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        simulate(parse(WALK), 3, samples=10, threads=threads)
+
+
 def test_simulate_default_targets_are_first_moments():
     t = simulate(parse(AR1), 3, samples=1_000, seed=0)
     assert t.targets == [(1,)]

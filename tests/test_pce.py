@@ -1,6 +1,7 @@
 """Truncated expansions: coefficients, estimators, error measures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pce_loops.dist import Density, RandomVector
 from pce_loops.pce import (
     DegreeMatrix,
     LagrangeConditional,
+    _assemble_estimator,
     error_bound,
     error_se,
     expand,
@@ -246,3 +248,31 @@ def test_expand_rejects_non_square_integrable_values():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
             expand(np.log, Density.uniform(-1.0, 1.0), (3,))
+
+
+def test_lazy_estimator_equals_an_eager_build():
+    germs3 = RandomVector([Density.normal(0.0, 1.0), Density.uniform(4.0, 8.0),
+                           Density.trunc_gamma(1.0, 3.0, 0.5, 1.0)])
+    cases = [(lambda x, y: np.log(x + y), GOLD_GERMS, (2, 2)),
+             (lambda x, y, z: np.cos(x) * np.exp(y - z), germs3, (3, 1, 2))]
+    for g, germs, degrees in cases:
+        e = expand(g, germs, degrees)
+        eager = _assemble_estimator(e.bases, e.D, e.coeffs)
+        lazy = e.estimator
+        assert lazy is e.estimator
+        assert [(m, c.hex()) for m, c in lazy.terms.items()] == \
+            [(m, c.hex()) for m, c in eager.terms.items()]
+
+
+def test_expand_reports_where_the_function_is_not_finite():
+    u = Density.uniform(1.0, 2.0)
+    nodes = build_rule(u, 64).nodes
+    pole = float(nodes[5])
+    message = f"function is not finite at germ point ({pole!r}, {float(nodes[0])!r})"
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            expand(lambda x, y: y / (x - pole), RandomVector([u, u]), (2, 2))
+    # finite values whose squares overflow
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^integral of g\\^2 is not finite"):
+            expand(lambda x: np.exp(200.0 * x), u, (2,))
