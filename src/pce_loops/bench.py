@@ -7,14 +7,13 @@ whose shipped source is a stand-in (the published listing was only available
 as a picture) are reported as skipped instead of producing numbers.
 """
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .dist import Density, RandomVector
+from .dist import Density, RandomVector, density_from_dict
 from .engine import polynomialize, propagate, simulate
 from .lang import parse_file
 from .pce import _bases, _check_square_integrable, _grid, _project, _residual_se
@@ -212,10 +211,7 @@ APPENDIX_B = {
 def run_appendix_b(n_nodes=64):
     """Recompute the worked log(x + y) example and compare every number."""
     t0 = time.perf_counter()
-    germs = RandomVector([
-        Density.trunc_normal(2.0, 0.1, 1.0, 3.0),
-        Density.uniform(1.0, 2.0),
-    ])
+    germs = RandomVector([density_from_dict(g) for g in APPENDIX_B["germs"]])
     e = expand(lambda x, y: np.log(x + y), germs, APPENDIX_B["degrees"],
                n_nodes=n_nodes)
     ms = 1e3 * (time.perf_counter() - t0)
@@ -247,7 +243,7 @@ def run_appendix_b(n_nodes=64):
 class Table2Row:
     label: str
     fn: object
-    germs: tuple
+    germs: tuple            # (family, *params) per germ, as Density.of takes them
     degrees: tuple
     reference: tuple
     tolerance: float        # relative, on the reproduced error
@@ -278,7 +274,7 @@ TABLE2_ROWS = (
     Table2Row(
         label="0.3*exp(-x1) + 0.255*exp(x2 - x1)",
         fn=_g1,
-        germs=(("normal", 0.0, 1.0), ("normal", 2.0, 0.1)),
+        germs=(("Normal", 0.0, 1.0), ("Normal", 2.0, 0.1)),
         degrees=(1, 2, 3, 4, 5),
         reference=(3.076846, 1.696078, 0.825399, 0.363869, 0.270419),
         tolerance=0.10,
@@ -288,8 +284,8 @@ TABLE2_ROWS = (
     Table2Row(
         label="0.3*exp(x1 - x2) + 0.6*exp(-x2)",
         fn=_g2,
-        germs=(("trunc_normal", 4.0, 1.0, 3.0, 5.0),
-               ("trunc_normal", 2.0, 0.1, 0.0, 4.0)),
+        germs=(("TruncNormal", 4.0, 1.0, 3.0, 5.0),
+               ("TruncNormal", 2.0, 0.1, 0.0, 4.0)),
         degrees=(1, 2, 3, 4, 5),
         reference=(0.343870, 0.057076, 0.007112, 0.000709, 0.000059),
         tolerance=0.05,
@@ -297,8 +293,8 @@ TABLE2_ROWS = (
     Table2Row(
         label="exp(x1*x2)",
         fn=_g3,
-        germs=(("trunc_normal", 4.0, 1.0, 3.0, 5.0),
-               ("trunc_gamma", 1.0, 3.0, 0.5, 1.0)),
+        germs=(("TruncNormal", 4.0, 1.0, 3.0, 5.0),
+               ("TruncGamma", 1.0, 3.0, 0.5, 1.0)),
         degrees=(1, 2, 3, 4, 5),
         reference=(5.745048, 1.035060, 0.142816, 0.016118, 0.001543),
         tolerance=0.05,
@@ -306,9 +302,9 @@ TABLE2_ROWS = (
     Table2Row(
         label="0.3*exp(x1 - x2) + 0.6*exp(x2 - x3) + 0.1*exp(x3 - x1)",
         fn=_g4,
-        germs=(("trunc_normal", 4.0, 1.0, 3.0, 5.0),
-               ("trunc_gamma", 1.0, 3.0, 0.5, 1.0),
-               ("uniform", 4.0, 8.0)),
+        germs=(("TruncNormal", 4.0, 1.0, 3.0, 5.0),
+               ("TruncGamma", 1.0, 3.0, 0.5, 1.0),
+               ("Uniform", 4.0, 8.0)),
         degrees=(1, 2, 3),
         reference=(1.637981, 0.303096, 0.066869),
         tolerance=0.05,
@@ -316,17 +312,12 @@ TABLE2_ROWS = (
     Table2Row(
         label="0.3*cos(x1) + 0.7*sin(x1)",
         fn=_g5,
-        germs=(("normal", 0.0, 1.0),),
+        germs=(("Normal", 0.0, 1.0),),
         degrees=(1, 2, 3, 4, 5),
         reference=(0.222627, 0.181681, 0.054450, 0.039815, 0.009115),
         tolerance=0.10,
     ),
 )
-
-
-def _make_density(spec):
-    kind, *args = spec
-    return getattr(Density, kind)(*args)
 
 
 def run_table2(n_nodes=64):
@@ -340,7 +331,7 @@ def run_table2(n_nodes=64):
     report = {"suite": "table2", "status": "ok", "rows": []}
     clock = time.perf_counter
     for i, row in enumerate(TABLE2_ROWS, start=1):
-        germs = RandomVector([_make_density(s) for s in row.germs])
+        germs = RandomVector([Density.of(*s) for s in row.germs])
         k = len(germs)
         # Bases first: they ask for 128 recurrence rows, so both rules below
         # are cut from one Stieltjes run per density instead of rerunning it.

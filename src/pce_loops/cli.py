@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bench as bench_mod
-from .dist import Density, RandomVector, density_from_dict
+from .dist import RandomVector, density_from_dict
 from .engine import polynomialize, propagate, simulate
 from .lang import (
     NUMPY_CALLS, ParseError, eval_expr, parse_expression, parse_file, render, validate_conditions,
@@ -130,14 +130,17 @@ def _load_germs(text):
         spec = [spec]
     if isinstance(spec, dict):
         names = list(spec)
-        densities = [density_from_dict(spec[n]) for n in names]
+        specs = [spec[n] for n in names]
     elif isinstance(spec, list):
-        densities = [density_from_dict(d) for d in spec]
+        specs = spec
         defaults = ["x", "y", "z", "w"]
-        names = [defaults[i] if i < 4 else f"x{i + 1}" for i in range(len(densities))]
+        names = [defaults[i] if i < 4 else f"x{i + 1}" for i in range(len(specs))]
     else:
         raise UsageError("--germs must be a JSON object or array of densities")
-    return names, densities
+    try:
+        return names, [density_from_dict(d) for d in specs]
+    except ValueError as e:
+        raise UsageError(f"--germs is not a valid density: {e}")
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -193,7 +196,7 @@ def cmd_expand(args):
 def cmd_orthopoly(args):
     try:
         density = density_from_dict(json.loads(args.dist))
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except ValueError as e:
         raise UsageError(f"--dist is not a valid density: {e}")
     t0 = time.perf_counter()
     basis = gram_schmidt(density, args.degree, n_nodes=args.quad_nodes)

@@ -16,13 +16,20 @@ import math
 
 import numpy as np
 
-__all__ = ["Density", "RandomVector", "density_from_dict"]
+__all__ = ["FAMILY_PARAMS", "Density", "RandomVector", "density_from_dict"]
 
 # Half-width, in standard deviations, of the integration window used for an
 # untruncated Normal.  Mass outside is ~1.5e-23, far below quadrature noise.
 NORMAL_CUTOFF_SIGMAS = 10.0
 
-_FAMILIES = ("Normal", "Uniform", "TruncNormal", "TruncGamma")
+# Each family's parameter names, in the order its constructor takes them.
+# The JSON form, the DSL and the benchmark tables all read this one table.
+FAMILY_PARAMS = {
+    "Normal": ("mu", "sigma"),
+    "Uniform": ("a", "b"),
+    "TruncNormal": ("mu", "sigma", "a", "b"),
+    "TruncGamma": ("k", "theta", "a", "b"),
+}
 
 
 def _normal_logpdf(x, mu, sigma):
@@ -40,7 +47,7 @@ class Density:
     """
 
     def __init__(self, family, params, support, norm_const=1.0):
-        if family not in _FAMILIES:
+        if family not in FAMILY_PARAMS:
             raise ValueError(f"unknown density family {family!r}")
         self.family = family
         self.params = dict(params)
@@ -52,6 +59,16 @@ class Density:
         self._moment_cache = {}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def of(cls, family, *params):
+        """The `family` density with `params` in FAMILY_PARAMS order, e.g.
+        ``Density.of("Uniform", 1.0, 2.0)``."""
+        build = {"Normal": cls.normal, "Uniform": cls.uniform,
+                 "TruncNormal": cls.trunc_normal, "TruncGamma": cls.trunc_gamma}
+        if not isinstance(family, str) or family not in build:
+            raise ValueError(f"unknown density family {family!r}")
+        return build[family](*params)
 
     @classmethod
     def normal(cls, mu, sigma):
@@ -203,21 +220,22 @@ class Density:
 def density_from_dict(spec):
     """Build a Density from its JSON form, e.g.
     ``{"family": "TruncNormal", "mu": 2, "sigma": 0.1, "a": 1, "b": 3}``.
+    Keys other than the family's parameters are ignored.
     """
-    spec = dict(spec)
-    family = spec.pop("family", None)
-    try:
-        if family == "Normal":
-            return Density.normal(spec["mu"], spec["sigma"])
-        if family == "Uniform":
-            return Density.uniform(spec["a"], spec["b"])
-        if family == "TruncNormal":
-            return Density.trunc_normal(spec["mu"], spec["sigma"], spec["a"], spec["b"])
-        if family == "TruncGamma":
-            return Density.trunc_gamma(spec["k"], spec["theta"], spec["a"], spec["b"])
-    except KeyError as e:
-        raise ValueError(f"missing parameter {e.args[0]!r} for family {family}") from e
-    raise ValueError(f"unknown density family {family!r}")
+    if not isinstance(spec, dict):
+        raise ValueError(f"a density is a JSON object, not {spec!r}")
+    family = spec.get("family")
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown density family {family!r}")
+    params = []
+    for name in FAMILY_PARAMS[family]:
+        if name not in spec:
+            raise ValueError(f"missing parameter {name!r} for family {family}")
+        value = spec[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"parameter {name!r} of {family} must be a number, not {value!r}")
+        params.append(value)
+    return Density.of(family, *params)
 
 
 class RandomVector:

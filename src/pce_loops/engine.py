@@ -18,7 +18,6 @@ integrating out each fresh draw with the raw moments of its distribution
 (draws are independent of everything sampled before them).
 """
 
-import math
 import os
 import threading
 from collections import OrderedDict
@@ -196,48 +195,6 @@ class PolynomializedProgram:
         )
 
 
-def _affine_of_draw(expr, draws):
-    """If expr == a*w + b for one draw w (a, b constant), return (w, a, b)."""
-
-    def walk(e):
-        # returns (var or None, slope, intercept) or None if not affine
-        if isinstance(e, Const):
-            return (None, 0.0, e.value)
-        if isinstance(e, Var):
-            if e.name in draws:
-                return (e.name, 1.0, 0.0)
-            return None
-        if isinstance(e, BinOp):
-            l, r = walk(e.left), walk(e.right)
-            if l is None or r is None:
-                return None
-            lv, la, lb = l
-            rv, ra, rb = r
-            if e.op in "+-":
-                sign = 1.0 if e.op == "+" else -1.0
-                if lv is not None and rv is not None and lv != rv:
-                    return None
-                var = lv if lv is not None else rv
-                return (var, la + sign * ra, lb + sign * rb)
-            # product: at most one side may carry the draw
-            if lv is not None and rv is not None:
-                return None
-            if lv is None:
-                return (rv, lb * ra, lb * rb)
-            return (lv, la * rb, lb * rb)
-        if isinstance(e, Pow):
-            inner = walk(e.base)
-            if inner is None or inner[0] is not None:
-                return None
-            return (None, 0.0, inner[2] ** e.exponent)
-        return None
-
-    out = walk(expr)
-    if out is None or out[0] is None or out[1] == 0.0:
-        return None
-    return out
-
-
 def _shifted_density(d, a, b):
     """Density of a*W + b for W Normal or Uniform (else None)."""
     p = d.params
@@ -254,9 +211,9 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
 
     degree and germ set the default expansion config; per_site maps a call
     site index (textual order, as listed by validate_conditions) to a dict
-    with optional "degree" and "germ" entries.  Stable sites infer their
-    germ from the argument's draw when possible; accumulating sites fall
-    back to the standard normal reference germ.
+    with optional "degree" and "germ" entries.  Stable sites read their
+    germ off the argument's polynomial when it is affine in one draw;
+    accumulating sites fall back to the standard normal reference germ.
     """
     report = validate_conditions(program)
     sites = report["call_sites"]
@@ -272,25 +229,39 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     provenance = []
     site_counter = [0]
 
-    def site_config(site, arg):
+    def stable_germ(arg_poly):
+        # A stable argument holds only draws.  When it is a*w + b for one
+        # draw w, its germ is w's density, moved by a and b unless they are
+        # 1 and 0.
+        terms = dict(arg_poly.terms)
+        b = terms.pop((0,) * arity, 0.0)
+        if len(terms) != 1:
+            return None
+        ((exp, a),) = terms.items()
+        if sum(exp) != 1:
+            return None
+        d = draw_density[all_vars[exp.index(1)]]
+        return d if (a, b) == (1.0, 0.0) else _shifted_density(d, a, b)
+
+    def site_config(site, arg_poly):
         cfg = per_site.get(site_counter[0], {})
         deg = int(cfg.get("degree", degree))
         g = cfg.get("germ", germ)
         if g is None:
             if site["iteration_stable"]:
-                g = _infer_stable_germ(arg, draw_density)
+                g = stable_germ(arg_poly)
                 if g is None:
                     raise ValueError(
                         f"call site {site_counter[0]} ({site['function']}({site['argument']})): "
                         "cannot infer a germ from the argument; configure one per site"
                     )
             else:
-                g = Density.normal(*DEFAULT_REFERENCE_GERM[1:])
+                g = Density.of(*DEFAULT_REFERENCE_GERM)
         return deg, g
 
     def replace_call(call, arg_poly):
         site = sites[site_counter[0]]
-        deg, g = site_config(site, call.arg)
+        deg, g = site_config(site, arg_poly)
         exp_obj = _expansion(call.fn, g, deg, n_nodes)
         provenance.append({
             "site": site_counter[0],
@@ -340,18 +311,6 @@ def _expansion(fn, germ, degree, n_nodes):
             if len(_expansions) > _MEMO_EXPANSIONS:
                 _expansions.popitem(last=False)
         return _expansions[key]
-
-
-def _infer_stable_germ(arg, draw_density):
-    """Germ for a stable site: the distribution of its argument node, when
-    that is a draw variable or affine in a single Normal/Uniform draw."""
-    if isinstance(arg, Var) and arg.name in draw_density:
-        return draw_density[arg.name]
-    aff = _affine_of_draw(arg, set(draw_density))
-    if aff is not None:
-        w, a, b = aff
-        return _shifted_density(draw_density[w], a, b)
-    return None
 
 
 def _compose(exp_obj, arg_poly):

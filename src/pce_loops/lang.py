@@ -14,9 +14,9 @@ whose body updates every variable once per iteration:
 Update forms: `name := expr` (assignment, sequential semantics) and
 `name = Dist(args)` (fresh draw every iteration).  Expressions allow
 +, -, *, integer ^, parentheses and the calls sin, cos, exp, log.
-Distributions: Normal(mu, sigma), Uniform(a, b),
-TruncNormal(mu, sigma, a, b), TruncGamma(k, theta, a, b); sigma is always a
-standard deviation.
+Distributions are the families of dist.FAMILY_PARAMS, with the parameters
+in that table's order, e.g. Normal(mu, sigma) or TruncGamma(k, theta, a, b);
+sigma is always a standard deviation.
 
 The parser is total: any input yields either a LoopProgram or a ParseError
 carrying line and column.
@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .dist import Density
+from .dist import FAMILY_PARAMS, Density
 
 __all__ = [
     "Expr", "Const", "Var", "BinOp", "Pow", "Call",
@@ -199,7 +199,8 @@ class LoopProgram:
 
 # -- tokenizer -------------------------------------------------------------
 
-_SYMBOLS = (":=", "=", "+", "-", "*", "^", "(", ")", "{", "}", ",")
+# Numbers take ASCII digits only; str.isdigit would let '²' through to float.
+_DIGITS = frozenset("0123456789")
 
 
 class _Token:
@@ -232,18 +233,18 @@ def _tokenize(src):
                 i += 1
             continue
         start_col = col
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and src[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or src[j] == "."
                 j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
-                    while k < n and src[k].isdigit():
+                if k < n and src[k] in _DIGITS:
+                    while k < n and src[k] in _DIGITS:
                         k += 1
                     j = k
             text = src[i:j]
@@ -367,20 +368,15 @@ class _Parser:
         while self.accept(","):
             args.append(self.signed_number())
         self.expect(")")
+        names = FAMILY_PARAMS.get(family)
+        if names is None:
+            self.error(f"unknown distribution {family!r}", fam_tok)
+        if len(args) != len(names):
+            self.error(f"{family} takes {len(names)} arguments", fam_tok)
         try:
-            if family == "Normal" and len(args) == 2:
-                return Density.normal(*args)
-            if family == "Uniform" and len(args) == 2:
-                return Density.uniform(*args)
-            if family == "TruncNormal" and len(args) == 4:
-                return Density.trunc_normal(*args)
-            if family == "TruncGamma" and len(args) == 4:
-                return Density.trunc_gamma(*args)
+            return Density.of(family, *args)
         except ValueError as e:
             self.error(f"bad {family} parameters: {e}", fam_tok)
-        if family in ("Normal", "Uniform", "TruncNormal", "TruncGamma"):
-            self.error(f"{family} takes {2 if family in ('Normal', 'Uniform') else 4} arguments", fam_tok)
-        self.error(f"unknown distribution {family!r}", fam_tok)
 
     def signed_number(self):
         sign = -1.0 if self.accept("-") else 1.0
@@ -496,14 +492,8 @@ def parse_file(path, constants=None):
 
 
 def _render_density(d):
-    p = d.params
-    if d.family == "Normal":
-        return f"Normal({p['mu']:g}, {p['sigma']:g})"
-    if d.family == "Uniform":
-        return f"Uniform({p['a']:g}, {p['b']:g})"
-    if d.family == "TruncNormal":
-        return f"TruncNormal({p['mu']:g}, {p['sigma']:g}, {p['a']:g}, {p['b']:g})"
-    return f"TruncGamma({p['k']:g}, {p['theta']:g}, {p['a']:g}, {p['b']:g})"
+    args = ", ".join(f"{d.params[name]:g}" for name in FAMILY_PARAMS[d.family])
+    return f"{d.family}({args})"
 
 
 def render(program):

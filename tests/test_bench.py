@@ -4,7 +4,7 @@ from collections import OrderedDict
 
 from pce_loops import bench, pce, quad
 from pce_loops.bench import TABLE2_ROWS, run_table2
-from pce_loops.dist import RandomVector
+from pce_loops.dist import Density, RandomVector
 from pce_loops.pce import error_se, expand
 
 
@@ -12,7 +12,7 @@ def test_table2_errors_match_the_per_cell_path_bitwise():
     got = [r["error"].hex() for r in run_table2()["rows"]]
     want = []
     for row in TABLE2_ROWS:
-        germs = RandomVector([bench._make_density(s) for s in row.germs])
+        germs = RandomVector([Density.of(*s) for s in row.germs])
         for deg in row.degrees:
             e = expand(row.fn, germs, (deg,) * len(germs), n_nodes=64)
             want.append(error_se(e, row.fn, n_nodes=96).hex())

@@ -184,6 +184,28 @@ def test_orthopoly_rejects_bad_density(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec", [
+    "5",
+    '{"family": "Normal", "mu": null, "sigma": 1}',
+    '{"family": ["Normal"], "mu": 0, "sigma": 1}',
+    '{"family": "Foo"}',
+    '{"family": "Normal", "mu": 0}',
+])
+def test_bad_density_json_is_a_usage_error(spec, capsys):
+    """orthopoly --dist and expand --germs refuse the same bad densities
+    with exit 1 and one error line."""
+    code, _, err = run(["orthopoly", "--dist", spec, "--degree", "2"], capsys)
+    assert code == 1
+    assert err.startswith("pce-loops: error: --dist is not a valid density")
+    assert err.count("\n") == 1
+    for germs in (f"[{spec}]", f'{{"x": {spec}}}'):
+        code, _, err = run(["expand", "--fn", "x", "--germs", germs,
+                            "--degrees", "1"], capsys)
+        assert code == 1
+        assert err.startswith("pce-loops: error: --germs is not a valid density")
+        assert err.count("\n") == 1
+
+
 def test_parse_check_report(capsys):
     code, out, _ = run(["parse", TURNING, "--check"], capsys)
     assert code == 0
@@ -211,6 +233,11 @@ def test_parse_missing_and_malformed_files(tmp_path, capsys):
     code, _, err = run(["parse", str(bad)], capsys)
     assert code == 1
     assert "parse error" in err
+    # str.isdigit accepts '²'; the tokenizer takes ASCII digits only
+    bad.write_text("x = 0\nwhile true {\n x := x + 2\u00b2\n}\n")
+    code, _, err = run(["parse", str(bad)], capsys)
+    assert code == 1
+    assert err == "pce-loops: parse error: line 3, column 12: unexpected character '\u00b2'\n"
 
 
 def test_tau_constant_reaches_the_program(tmp_path, capsys):

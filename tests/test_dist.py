@@ -153,6 +153,42 @@ def test_density_from_dict_rejects_unknown_family():
         density_from_dict({"family": "Cauchy", "x0": 0, "gamma": 1})
 
 
+def test_family_table_gives_constructor_parameter_order():
+    args = {"Normal": (0.5, 2.0), "Uniform": (1.0, 3.0),
+            "TruncNormal": (2.0, 0.1, 1.0, 3.0), "TruncGamma": (2.0, 1.5, 0.5, 4.0)}
+    assert set(args) == set(dist.FAMILY_PARAMS)
+    for family, names in dist.FAMILY_PARAMS.items():
+        d = Density.of(family, *args[family])
+        assert d.family == family
+        assert d.params == dict(zip(names, args[family]))
+        assert density_from_dict(d.to_dict()).params == d.params
+
+
+@pytest.mark.parametrize("spec, message", [
+    (5, "JSON object"),
+    ([{"family": "Normal", "mu": 0, "sigma": 1}], "JSON object"),
+    (None, "JSON object"),
+    ({"family": ["Normal"], "mu": 0, "sigma": 1}, "unknown density family"),
+    ({"family": 5}, "unknown density family"),
+    ({"mu": 0, "sigma": 1}, "unknown density family"),
+    ({"family": "Normal", "mu": 0}, "missing parameter 'sigma'"),
+    ({"family": "Normal", "mu": None, "sigma": 1}, "'mu' of Normal must be a number"),
+    ({"family": "Normal", "mu": True, "sigma": 1}, "'mu' of Normal must be a number"),
+    ({"family": "Uniform", "a": "0", "b": 1}, "'a' of Uniform must be a number"),
+    ({"family": "TruncGamma", "k": 1, "theta": [3], "a": 0.5, "b": 1},
+     "'theta' of TruncGamma must be a number"),
+])
+def test_density_from_dict_rejects_malformed_specs(spec, message):
+    with pytest.raises(ValueError, match=message):
+        density_from_dict(spec)
+
+
+def test_density_of_rejects_unknown_family():
+    for family in ("Cauchy", "normal", ["Normal"], None):
+        with pytest.raises(ValueError, match="unknown density family"):
+            Density.of(family, 0.0, 1.0)
+
+
 def test_random_vector_sampling():
     rv = RandomVector([Density.normal(0.0, 1.0), Density.uniform(1.0, 2.0)])
     assert len(rv) == 2

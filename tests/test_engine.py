@@ -178,6 +178,17 @@ def test_stable_site_handles_affine_arguments():
     # equals sin(1) e^{-2}
     t = propagate(pp, ["x"], 1)
     assert t.value(1, "x") == pytest.approx(math.sin(1.0) * math.exp(-2.0), abs=1e-6)
+    # the germ is read off the argument's polynomial, so spellings an AST
+    # reading of the argument would miss give the same germ
+    prog = parse("x = 0\nwhile true {\n w = Normal(0, 1)\n x := x + sin((2*w + 1)^1)\n}")
+    (p,) = polynomialize(prog, degree=6).provenance
+    assert (p["germ"]["family"], p["germ"]["mu"], p["germ"]["sigma"]) == ("Normal", 1.0, 2.0)
+    # an argument equal to the draw itself keeps the draw's own density,
+    # here a TruncGamma that no affine move applies to
+    prog = parse("x = 0\nwhile true {\n w = TruncGamma(1, 3, 0.5, 1)\n"
+                 " x := x + cos(w*w - w*w + w)\n}")
+    (p,) = polynomialize(prog, degree=4).provenance
+    assert p["germ"] == {"family": "TruncGamma", "k": 1.0, "theta": 3.0, "a": 0.5, "b": 1.0}
 
 
 def test_stable_site_without_inferable_germ_raises():

@@ -61,9 +61,20 @@ def test_vehicle_program_shape():
     assert isinstance(init_map["v"], Density) and init_map["v"].family == "Uniform"
 
 
+ALL_FAMILIES = """
+v = TruncGamma(2, 1.5, 0.5, 4)
+x = Normal(0, 1)
+while true {
+    w1 = Uniform(-1, 2)
+    w2 = TruncNormal(0, 0.5, -1, 1)
+    x := 0.5*x + w1*w2 + v
+}
+"""
+
+
 def test_render_parse_round_trip():
-    for fname in ("turning.ppl", "turning_sim.ppl", "turning_trunc.ppl"):
-        p1 = parse_file(program_path(fname))
+    for fname in ("turning.ppl", "turning_sim.ppl", "turning_trunc.ppl", None):
+        p1 = parse(ALL_FAMILIES) if fname is None else parse_file(program_path(fname))
         text = render(p1)
         p2 = parse(text)
         assert render(p2) == text
@@ -138,6 +149,13 @@ def test_error_distribution_arity_and_params():
         parse("x = Uniform(2, 1)\nwhile true { x := x }")
     with pytest.raises(ParseError, match="unknown distribution"):
         parse("x = Cauchy(0, 1)\nwhile true { x := x }")
+
+
+def test_numbers_take_ascii_digits_only():
+    # str.isdigit holds for both, and float/int would refuse '²' or read '٣'
+    for text in ("x := x + 2\u00b2", "x := x^\u00b2", "x := x + \u0663"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse("x = 0\nwhile true {\n " + text + "\n}")
 
 
 def test_error_distribution_args_are_numbers():
@@ -232,7 +250,7 @@ def test_parser_total_on_token_noise():
     rng = np.random.default_rng(2024)
     pieces = ["x", "y", "w", "while", "true", "{", "}", ":=", "=", "+", "-",
               "*", "^", "(", ")", ",", "1", "2.5", "0.1", "1e3", "Normal",
-              "Uniform", "sin", "log", "#", "$", "\n"]
+              "Uniform", "sin", "log", "#", "$", "\n", "\u00b2", "\u0663"]
     ok = bad = 0
     for _ in range(10_000):
         k = int(rng.integers(0, 24))
