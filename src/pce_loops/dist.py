@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-__all__ = ["FAMILY_PARAMS", "Density", "RandomVector", "density_from_dict"]
+__all__ = ["FAMILY_PARAMS", "Density", "RandomVector", "density_from_dict",
+           "location_scale", "from_location_scale"]
 
 # Half-width, in standard deviations, of the integration window used for an
 # untruncated Normal.  Mass outside is ~1.5e-23, far below quadrature noise.
@@ -29,6 +30,16 @@ FAMILY_PARAMS = {
     "Uniform": ("a", "b"),
     "TruncNormal": ("mu", "sigma", "a", "b"),
     "TruncGamma": ("k", "theta", "a", "b"),
+}
+
+# The location-scale families.  A member is the law of loc + scale*Z, Z drawn
+# from the family's standard member, which is symmetric about 0.  Each entry
+# holds the standard member's parameters, a member's (loc, scale) from its
+# parameters, and a member's parameters from (loc, scale).
+_LOCATION_SCALE = {
+    "Normal": ((0.0, 1.0), lambda mu, sigma: (mu, sigma), lambda loc, scale: (loc, scale)),
+    "Uniform": ((-1.0, 1.0), lambda a, b: (0.5 * (a + b), 0.5 * (b - a)),
+                lambda loc, scale: (loc - scale, loc + scale)),
 }
 
 
@@ -234,8 +245,29 @@ def density_from_dict(spec):
         value = spec[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"parameter {name!r} of {family} must be a number, not {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {name!r} of {family} must be finite, not {value!r}")
         params.append(value)
     return Density.of(family, *params)
+
+
+def location_scale(density):
+    """(standard, loc, scale) such that `density` is the law of
+    loc + scale*Z, Z ~ standard: N(0, 1) for a Normal (so its +-10 sigma
+    window maps onto the standard's +-10), U(-1, 1) for a Uniform.  None for
+    the other families."""
+    entry = _LOCATION_SCALE.get(density.family)
+    if entry is None:
+        return None
+    standard, to_loc_scale, _ = entry
+    loc, scale = to_loc_scale(*(density.params[n] for n in FAMILY_PARAMS[density.family]))
+    return Density.of(density.family, *standard), loc, scale
+
+
+def from_location_scale(standard, loc, scale):
+    """The law of loc + scale*Z, Z ~ standard, for a standard member that
+    location_scale returns and scale > 0."""
+    return Density.of(standard.family, *_LOCATION_SCALE[standard.family][2](loc, scale))
 
 
 class RandomVector:

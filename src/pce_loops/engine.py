@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .dist import Density
+from .dist import Density, from_location_scale, location_scale
 from .lang import (
     NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
 )
@@ -196,14 +196,13 @@ class PolynomializedProgram:
 
 
 def _shifted_density(d, a, b):
-    """Density of a*W + b for W Normal or Uniform (else None)."""
-    p = d.params
-    if d.family == "Normal":
-        return Density.normal(a * p["mu"] + b, abs(a) * p["sigma"])
-    if d.family == "Uniform":
-        lo, hi = a * p["a"] + b, a * p["b"] + b
-        return Density.uniform(min(lo, hi), max(lo, hi))
-    return None
+    """Density of a*W + b for W of a location-scale family (else None); the
+    standard members are symmetric, so a < 0 scales by |a|."""
+    mapped = location_scale(d)
+    if mapped is None:
+        return None
+    standard, loc, scale = mapped
+    return from_location_scale(standard, a * loc + b, abs(a) * scale)
 
 
 def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_NODES):

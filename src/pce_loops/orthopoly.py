@@ -9,6 +9,7 @@ raw-x forms that get printed and assembled into estimators.  Each b_j > 0,
 so every leading coefficient is positive.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,26 +31,30 @@ class GramSchmidtError(RuntimeError):
 class OrthonormalBasis:
     """Orthonormal polynomials of one density, index = degree.
 
-    polys holds the raw-x UniPoly forms (display, assembly); evaluation runs
-    the recurrence on the points, which stays stable at high degree.
+    polys holds the raw-x UniPoly forms (display, assembly), built on first
+    read; evaluation runs the recurrence on the points, which stays stable at
+    high degree.
     """
 
     def __init__(self, density, alphas, offdiag, gram_residual):
         self.density = density
         self._jacobi = (alphas, offdiag)
         self.gram_residual = gram_residual
-        self.polys = _raw_polys(alphas, offdiag)
+
+    @functools.cached_property
+    def polys(self):
+        return _raw_polys(*self._jacobi)
 
     @property
     def max_degree(self):
-        return len(self.polys) - 1
+        return len(self._jacobi[0]) - 1
 
     def eval_matrix(self, x):
         """Matrix of basis values, shape (len(x), max_degree + 1)."""
         return np.column_stack(_values(*self._jacobi, x))
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._jacobi[0])
 
     def __repr__(self):
         return (

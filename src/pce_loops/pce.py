@@ -119,20 +119,26 @@ class PceExpansion:
 
 
 def _grid(g, germs, n_nodes):
-    """(rules, values): the germs' n_nodes Gauss rules and g on their tensor grid."""
+    """(rules, values): the germs' n_nodes Gauss rules and g on their tensor
+    grid.  Raises ValueError if g is not finite at a grid point; numpy's
+    warnings for it are silenced, since the error reports it."""
     rules = [build_rule(d, n_nodes) for d in germs]
     grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij", sparse=True)
-    vals = np.asarray(g(*grids), dtype=float)
-    return rules, np.broadcast_to(vals, tuple(len(r) for r in rules)).copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        vals = np.asarray(g(*grids), dtype=float)
+    vals = np.broadcast_to(vals, tuple(len(r) for r in rules)).copy()
+    if not np.isfinite(vals).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
+        node = tuple(float(rules[d].nodes[idx[d]]) for d in range(len(rules)))
+        raise ValueError(f"function is not finite at germ point {node}")
+    return rules, vals
 
 
 def _check_square_integrable(values, rules):
-    """Numeric stand-in for the L2 precondition: finite values, finite int g^2."""
-    if not np.isfinite(values).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-        node = tuple(float(rules[d].nodes[idx[d]]) for d in range(len(rules)))
-        raise ValueError(f"function is not finite at germ point {node}")
-    sq = values**2
+    """Numeric stand-in for the L2 precondition on finite grid values: a
+    finite int g^2."""
+    with np.errstate(over="ignore"):
+        sq = values**2
     for r in reversed(rules):
         sq = sq @ r.weights
     if not np.isfinite(sq):

@@ -8,6 +8,14 @@ cuts an n-node rule, exact to degree 2n - 1, from the first n rows by the
 Jacobi matrix eigendecomposition (Golub-Welsch).  Rows and rules of recent
 densities are memoized: Stieltjes runs row by row, so the first n rows of a
 longer run, and the rule cut from them, are bitwise those of a run to n.
+Only the standard members N(0, 1) (on +-10) and U(-1, 1) of the
+location-scale families, and the other families' densities, get a Stieltjes
+run and eigendecompositions.  Any other Normal or Uniform is the law of
+loc + scale*Z for Z its family's standard member (dist.location_scale), and
+its memo entry is filled from the standard's: alphas = loc + scale*alphas_Z,
+offdiag = scale*offdiag_Z, nodes = loc + scale*nodes_Z clipped to the
+support, and the weights are the standard rule's own array.  The map is
+also better conditioned than a run on an off-centre support.
 integrate tensorizes univariate rules for multivariate expectations.
 """
 
@@ -16,7 +24,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .dist import Density, _panels
+from .dist import Density, _panels, location_scale
 
 __all__ = ["QuadratureRule", "build_rule", "integrate", "convergence_report", "DEFAULT_NODES"]
 
@@ -102,14 +110,34 @@ def _recurrence_coefficients(pts, mass, n):
 
 def _memo_entry(density, n_rows):
     """The density's memo entry, with at least n_rows rows; hold _memo_lock."""
-    key = (density.family, tuple(sorted(density.params.items())), density.support)
+    key = _key(density)
     entry = _memo.setdefault(key, [(), (), {}])
     _memo.move_to_end(key)
     if len(_memo) > _MEMO_DENSITIES:
         _memo.popitem(last=False)
     if len(entry[0]) < n_rows:
-        entry[:2] = _recurrence_coefficients(*_backbone(density), n_rows)
+        mapped = _mapped(density)
+        if mapped is None:
+            entry[:2] = _recurrence_coefficients(*_backbone(density), n_rows)
+        else:
+            standard, loc, scale = mapped
+            alphas, offdiag, _ = _memo_entry(standard, n_rows)
+            entry[:2] = loc + scale * alphas, scale * offdiag
     return entry
+
+
+def _key(density):
+    return (density.family, tuple(sorted(density.params.items())), density.support)
+
+
+def _mapped(density):
+    """(standard, loc, scale) of a Normal or Uniform other than its family's
+    standard member, whose rows and rules are mapped from the standard's;
+    None for every other density."""
+    mapped = location_scale(density)
+    if mapped is None or _key(mapped[0]) == _key(density):
+        return None
+    return mapped
 
 
 def _rows(density, n):
@@ -120,6 +148,35 @@ def _rows(density, n):
     return alphas[:n], offdiag[: n - 1]
 
 
+def _golub_welsch(alphas, offdiag):
+    """(nodes, weights) of the Gauss rule whose Jacobi matrix has diagonal
+    alphas and off-diagonal offdiag; the weights sum to 1."""
+    jacobi = np.diag(alphas)
+    if len(offdiag):
+        jacobi += np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    eigvals, eigvecs = np.linalg.eigh(jacobi)
+    weights = eigvecs[0] ** 2
+    return eigvals, weights / weights.sum()
+
+
+def _rule(density, n_nodes):
+    """The density's memoized n_nodes-point (nodes, weights), both read-only;
+    hold _memo_lock.  A mapped density shares its standard's weights."""
+    alphas, offdiag, rules = _memo_entry(density, n_nodes)
+    if n_nodes not in rules:
+        mapped = _mapped(density)
+        if mapped is None:
+            nodes, weights = _golub_welsch(alphas[:n_nodes], offdiag[: n_nodes - 1])
+        else:
+            standard, loc, scale = mapped
+            std_nodes, weights = _rule(standard, n_nodes)
+            nodes = loc + scale * std_nodes
+        nodes = np.clip(nodes, *density.support)  # guard against 1-ulp excursions
+        nodes.flags.writeable = weights.flags.writeable = False
+        rules[n_nodes] = (nodes, weights)
+    return rules[n_nodes]
+
+
 def build_rule(density, n_nodes=DEFAULT_NODES):
     """Gauss rule with n_nodes points, exact to degree 2*n_nodes - 1; its
     nodes and weights arrays are shared between calls and read-only."""
@@ -128,20 +185,7 @@ def build_rule(density, n_nodes=DEFAULT_NODES):
     if n_nodes < 1:
         raise ValueError("need at least one node")
     with _memo_lock:
-        alphas, offdiag, rules = _memo_entry(density, n_nodes)
-        if n_nodes not in rules:
-            jacobi = np.diag(alphas[:n_nodes])
-            if n_nodes > 1:
-                offdiag = offdiag[: n_nodes - 1]
-                jacobi += np.diag(offdiag, 1) + np.diag(offdiag, -1)
-            eigvals, eigvecs = np.linalg.eigh(jacobi)
-            weights = eigvecs[0] ** 2
-            weights = weights / weights.sum()
-            a, b = density.support
-            nodes = np.clip(eigvals, a, b)  # guard against 1-ulp excursions
-            nodes.flags.writeable = weights.flags.writeable = False
-            rules[n_nodes] = (nodes, weights)
-        nodes, weights = rules[n_nodes]
+        nodes, weights = _rule(density, n_nodes)
     return QuadratureRule(nodes, weights, density, n_nodes)
 
 

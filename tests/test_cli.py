@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -165,6 +166,30 @@ def test_expand_numeric_failure_exit(capsys):
                             "--degrees", "3"], capsys)
     assert code == 2
     assert "numeric failure" in err
+
+
+def test_numeric_failure_is_one_line(capsys):
+    # numpy's warnings for the bad values would come before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["expand", "--fn", "log(x)", "--germs",
+                            '[{"family": "Uniform", "a": -2, "b": -1}]',
+                            "--degrees", "2"], capsys)
+    assert code == 2
+    assert err.startswith("pce-loops: numeric failure: function is not finite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, name", [
+    ('{"family": "Uniform", "a": 0, "b": Infinity}', "b"),
+    ('{"family": "Normal", "mu": NaN, "sigma": 1}', "mu"),
+    ('{"family": "Normal", "mu": 0, "sigma": -Infinity}', "sigma"),
+])
+def test_non_finite_density_parameters_are_usage_errors(spec, name, capsys):
+    code, _, err = run(["orthopoly", "--dist", spec, "--degree", "2"], capsys)
+    assert code == 1
+    assert f"parameter {name!r}" in err and "must be finite" in err
+    assert err.count("\n") == 1
 
 
 def test_orthopoly_text_golden(capsys):

@@ -183,6 +183,27 @@ def test_density_from_dict_rejects_malformed_specs(spec, message):
         density_from_dict(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "Uniform", "a": 0, "b": math.inf}, "'b' of Uniform must be finite"),
+    ({"family": "Normal", "mu": math.nan, "sigma": 1}, "'mu' of Normal must be finite"),
+    ({"family": "TruncNormal", "mu": 0, "sigma": 1, "a": -math.inf, "b": 1},
+     "'a' of TruncNormal must be finite"),
+])
+def test_density_from_dict_rejects_non_finite_parameters(spec, message):
+    with pytest.raises(ValueError, match=message):
+        density_from_dict(spec)
+
+
+def test_location_scale_maps_the_standard_member():
+    for d, standard in ((Density.normal(2.0, 0.1), Density.normal(0.0, 1.0)),
+                        (Density.uniform(4.0, 8.0), Density.uniform(-1.0, 1.0))):
+        got, loc, scale = dist.location_scale(d)
+        assert got.params == standard.params and got.support == standard.support
+        assert tuple(loc + scale * z for z in got.support) == d.support
+        assert dist.from_location_scale(got, loc, scale).params == d.params
+    assert dist.location_scale(Density.trunc_normal(2.0, 0.1, 1.0, 3.0)) is None
+
+
 def test_density_of_rejects_unknown_family():
     for family in ("Cauchy", "normal", ["Normal"], None):
         with pytest.raises(ValueError, match="unknown density family"):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pce_loops import orthopoly
 from pce_loops.dist import Density
 from pce_loops.orthopoly import GramSchmidtError, gram_schmidt
 from pce_loops.quad import build_rule
@@ -107,3 +108,13 @@ def test_eval_matrix_shape_and_first_column():
     V = basis.eval_matrix(xs)
     assert V.shape == (30, 6)
     np.testing.assert_allclose(V[:, 0], 1.0)
+
+
+def test_raw_polys_are_built_on_first_read(monkeypatch):
+    calls = []
+    real = orthopoly._raw_polys
+    monkeypatch.setattr(orthopoly, "_raw_polys", lambda *a: calls.append(a) or real(*a))
+    basis = gram_schmidt(Density.uniform(1.0, 2.0), 5)
+    assert (len(basis), basis.max_degree, calls) == (6, 5, [])
+    assert basis.polys is basis.polys and len(basis.polys) == 6
+    assert len(calls) == 1

@@ -1,12 +1,15 @@
 """Gauss rules against arbitrary densities and tensor-grid integration."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from pce_loops import quad
-from pce_loops.dist import Density
+from pce_loops import orthopoly, quad
+from pce_loops.dist import Density, location_scale
+from pce_loops.orthopoly import gram_schmidt
+from pce_loops.pce import expand
 from pce_loops.quad import build_rule, convergence_report, integrate
 
 
@@ -131,3 +134,62 @@ def test_memo_keeps_a_bounded_number_of_densities():
     for k in range(quad._MEMO_DENSITIES + 5):
         build_rule(Density.uniform(0.0, 1.0 + k), 4)
     assert len(quad._memo) == quad._MEMO_DENSITIES
+
+
+# Normal and Uniform members whose rows and rules are mapped from N(0, 1) or
+# U(-1, 1); the last of each family sits far off centre.
+MAPPED = [("Normal", 2.0, 0.1), ("Normal", 0.0, math.sqrt(2.0)), ("Normal", -3.0, 25.0),
+          ("Normal", 100.0, 1.0), ("Uniform", 4.0, 8.0), ("Uniform", -3.0, 5.0),
+          ("Uniform", 1000.0, 1001.0)]
+OFF_CENTRE = {("Normal", 100.0, 1.0), ("Uniform", 1000.0, 1001.0)}
+
+
+def _direct(d, n):
+    """n rows and the clipped n-node rule from a Stieltjes run on d itself."""
+    alphas, offdiag = quad._recurrence_coefficients(*quad._backbone(d), n)
+    nodes, weights = quad._golub_welsch(alphas, offdiag)
+    return alphas, offdiag, np.clip(nodes, *d.support), weights
+
+
+@pytest.mark.parametrize("spec", MAPPED)
+def test_mapped_rule_and_rows_match_a_direct_run(spec):
+    d = Density.of(*spec)
+    standard, loc, scale = location_scale(d)
+    alphas, offdiag, nodes, weights = _direct(d, 64)
+    tol = 1e-14 * (abs(loc) + 10.0 * scale)
+    r = build_rule(d, 64)
+    assert np.max(np.abs(r.nodes - nodes)) <= tol
+    assert np.max(np.abs(r.weights - weights)) <= 1e-11
+    assert r.weights is build_rule(standard, 64).weights
+    got_alphas, got_offdiag = quad._rows(d, 21)
+    assert np.max(np.abs(got_alphas - alphas[:21])) <= tol
+    assert np.max(np.abs(got_offdiag - offdiag[:20])) <= tol
+
+
+@pytest.mark.parametrize("spec", MAPPED)
+def test_mapped_basis_is_as_orthonormal_as_a_direct_one(spec):
+    d = Density.of(*spec)
+    standard = location_scale(d)[0]
+    alphas, offdiag, nodes, weights = _direct(d, 128)
+    vals = np.column_stack(orthopoly._values(alphas[:21], offdiag[:20], nodes))
+    direct = np.max(np.abs((vals * weights[:, None]).T @ vals - np.eye(21)))
+    mapped = gram_schmidt(d, 20).gram_residual
+    # A mapped basis is as well conditioned as its standard member's; off
+    # centre, a direct run loses digits to the offset that the map keeps.
+    assert mapped <= max(direct, 2.0 * gram_schmidt(standard, 20).gram_residual)
+    if spec in OFF_CENTRE:
+        assert mapped < direct
+
+
+def test_lagrange_germs_cost_one_stieltjes_run(monkeypatch):
+    runs, eigs = [], []
+    real_run, real_gw = quad._recurrence_coefficients, quad._golub_welsch
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
+    monkeypatch.setattr(quad, "_recurrence_coefficients",
+                        lambda *a: runs.append(a) or real_run(*a))
+    monkeypatch.setattr(quad, "_golub_welsch", lambda *a: eigs.append(a) or real_gw(*a))
+    # each germ of an 8-iteration schedule gets a checked basis (128-node
+    # rule) and a 64-node grid, as polynomialize asks of expand
+    for n in range(1, 9):
+        expand(np.cos, Density.normal(0.0, 0.5 * math.sqrt(n)), (8,))
+    assert (len(runs), len(eigs)) == (1, 2)
