@@ -245,7 +245,12 @@ def density_from_dict(spec):
         value = spec[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"parameter {name!r} of {family} must be a number, not {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"parameter {name!r} of {family} is an integer too large "
+                             "for a float") from None
+        if not finite:
             raise ValueError(f"parameter {name!r} of {family} must be finite, not {value!r}")
         params.append(value)
     return Density.of(family, *params)

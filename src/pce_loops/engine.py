@@ -15,7 +15,9 @@ Sequential update semantics throughout: each update sees the values written
 by the updates above it in the body.  Expectations of a monomial after one
 iteration are obtained by substituting updates in reverse body order and
 integrating out each fresh draw with the raw moments of its distribution
-(draws are independent of everything sampled before them).
+(draws are independent of everything sampled before them).  A draw that
+only one update reads is integrated out of that update's powers instead,
+before they are substituted.
 """
 
 import os
@@ -377,44 +379,70 @@ def _combine(table, coefs):
     return table[:, pick[keep]], sums[keep]
 
 
-def _powers(poly, top, powers):
-    """Extend the list powers so that powers[k] holds poly**k, for every
-    k <= top, as a (table with row 0, coefficients, MultiPoly) triple; each
-    power is one MultiPoly product of the one below and poly."""
-    if not powers:
-        powers.append(None)
-    while len(powers) <= top:
-        power = powers[-1][2] * poly if powers[-1] else poly
-        table = np.zeros((poly.arity + 1, len(power.terms)), dtype=np.int64)
-        table[:-1] = np.array(list(power.terms), dtype=np.int64).reshape(-1, poly.arity).T
-        powers.append((table, np.array(list(power.terms.values()), dtype=float), power))
-    return powers
+class _Powers:
+    """The powers of one update polynomial P with the draws folded into it
+    integrated out, stacked: columns first[k]:first[k] + size[k] of table
+    (row field 0) and coefs hold E[P^k] over those draws, from E[P^0] = 1
+    up, and fields lists the fields they hold.  Each P^k is one MultiPoly
+    product of the one below and P; the folded draws are integrated out of
+    all powers an upto call builds at once, with the power as the row
+    field, so that call fetches each raw moment once."""
+
+    def __init__(self, poly, fold):
+        self.poly = poly
+        self.fold = fold
+        self.fields = sorted(_fields(poly) - {idx for idx, _ in fold})
+        self.table = np.zeros((poly.arity + 1, 1), dtype=np.int64)
+        self.coefs = np.ones(1)
+        self.first, self.size = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
+        self._last = None
+
+    def upto(self, top):
+        """self, with every power up to the top-th built."""
+        built = len(self.size)
+        if built > top:
+            return self
+        exps, coefs, power = [], [], []
+        for k in range(built, top + 1):
+            self._last = self._last * self.poly if self._last else self.poly
+            exps.extend(self._last.terms)
+            coefs.extend(self._last.terms.values())
+            power.extend([k] * len(self._last.terms))
+        arity = self.poly.arity
+        table = np.empty((arity + 1, len(coefs)), dtype=np.int64)
+        table[:-1] = np.array(exps, dtype=np.int64).reshape(-1, arity).T
+        table[-1] = power
+        coefs = np.array(coefs)
+        if self.fold:
+            for idx, density in self.fold:
+                table, coefs = _integrate(table, coefs, idx, density)
+            table, coefs = _combine(table, coefs)
+        sizes = np.bincount(table[-1], minlength=top + 1)[built:]
+        table[-1] = 0
+        self.table = np.concatenate([self.table, table], axis=1)
+        self.coefs = np.concatenate([self.coefs, coefs])
+        self.size = np.concatenate([self.size, sizes])
+        self.first = np.cumsum(self.size) - self.size
+        return self
 
 
 def _substitute(table, coefs, idx, powers):
-    """Replace field idx's k-th power by powers[k] in every term.  The terms
-    without the variable come first, then the products of each degree in
-    turn: each term of that degree, in input order, times every term of the
-    power, in the order MultiPoly multiplication visits the pairs."""
-    degrees = table[idx]
-    counts = np.bincount(degrees).tolist()
-    sizes = [c * len(powers[d][1]) if d else c for d, c in enumerate(counts)]
-    out = np.empty((len(table), sum(sizes)), dtype=table.dtype)
-    out_coefs = np.empty(sum(sizes))
-    end = 0
-    for d, size in enumerate(sizes):
-        if size:
-            sel = np.flatnonzero(degrees == d)
-            t, c = table[:, sel], coefs[sel]
-            if d:
-                t[idx] = 0
-                p_table, p_coefs, _ = powers[d]
-                t = (t[:, :, None] + p_table[:, None, :]).reshape(len(t), -1)
-                c = (c[:, None] * p_coefs).ravel()
-            out[:, end:end + size] = t
-            out_coefs[end:end + size] = c
-            end += size
-    return out, out_coefs
+    """Replace field idx's k-th power by E[P^k] (powers, a _Powers) in every
+    term.  The terms without the variable come first, then the products of
+    each degree in turn: each term of that degree, in input order, times
+    every term of the power, in the order MultiPoly multiplication visits
+    the pairs."""
+    order = np.argsort(table[idx], kind="stable")
+    degrees = table[idx, order]
+    sizes = powers.size[degrees]
+    ends = np.cumsum(sizes)
+    source = np.repeat(order, sizes)
+    column = np.arange(ends[-1]) + np.repeat(powers.first[degrees] - ends + sizes, sizes)
+    out = table[:, source]
+    out[idx] = 0
+    for f in powers.fields:
+        out[f] += powers.table[f, column]
+    return out, coefs[source] * powers.coefs[column]
 
 
 def _integrate(table, coefs, idx, density):
@@ -431,38 +459,109 @@ def _integrate(table, coefs, idx, density):
     return table, coefs * factor[degrees]
 
 
-def _sweep(pp, frontier, memo):
-    """One-step expectations of a frontier of state monomials, as a table
-    and coefficients; row r holds the expectation of frontier[r].
+def _may_merge(table, idx, powers):
+    """Whether replacing field idx by its powers can make two terms of a row
+    equal.  It cannot when every row holds one term, nor when the other
+    fields the powers hold are zero in every term and each row holds one
+    degree of idx: a product then shows both the term and the power's term
+    it came from, and the terms of one power are distinct."""
+    rows = table[-1]
+    counts = np.bincount(rows)
+    if counts.max() <= 1:
+        return False
+    if table[[f for f in powers.fields if f != idx]].any():
+        return True
+    degrees = table[idx]
+    per_row = np.empty(len(counts), dtype=degrees.dtype)
+    per_row[rows] = degrees
+    return bool((per_row[rows] != degrees).any())
 
-    The whole frontier goes through the body in reverse order at once: an
-    update replaces var^k by the k-th power of its polynomial, a draw
-    replaces w^k by E[w^k], and equal terms are combined after each step.
-    memo maps an update's body position to its powers and may be shared
-    between sweeps over the same program."""
+
+def _fields(poly):
+    """The set of fields (variable indices) poly's terms hold."""
+    return {i for e in poly.terms for i, p in enumerate(e) if p}
+
+
+def _folds(pp):
+    """{update position: [(draw field, density), ...]}, the draws folded
+    into each update's powers.  A draw is folded when it is the only write
+    to its variable and exactly one update reads it, below it in the body:
+    the draw is then independent of everything else in each term that
+    update's powers multiply, so E[w^j] can be taken inside the powers."""
+    reads = [_fields(payload) if kind == "assign" else set() for kind, _, payload in pp.body]
+    written = [var for _, var, _ in pp.body]
+    folds = {}
+    for pos, (kind, var, density) in enumerate(pp.body):
+        if kind != "draw" or written.count(var) != 1:
+            continue
+        idx = pp.var_index[var]
+        readers = [r for r, fields in enumerate(reads) if idx in fields]
+        if len(readers) == 1 and readers[0] > pos:
+            folds.setdefault(readers[0], []).append((idx, density))
+    return folds
+
+
+def _steps(pp, memo):
+    """The steps a sweep takes, in reverse body order: ("draw", field,
+    density) integrates a draw, ("assign", field, powers) substitutes an
+    update, whose _Powers come from memo, keyed by the update's terms and
+    its folded draws, so that programs sharing an update share its powers.
+    A folded draw takes no step of its own."""
     if pp.schedule:
         raise ValueError(
             "a scheduled program has one step map per iteration; "
             "propagate it, or close the programs of its schedule"
         )
+    folds = _folds(pp)
+    folded = {idx for fold in folds.values() for idx, _ in fold}
+    steps = []
+    for pos in range(len(pp.body) - 1, -1, -1):
+        kind, var, payload = pp.body[pos]
+        idx = pp.var_index[var]
+        if kind == "draw":
+            if idx not in folded:
+                steps.append((kind, idx, payload))
+            continue
+        fold = tuple(folds.get(pos, ()))
+        key = (tuple(payload.terms.items()),
+               tuple((i, d.family, tuple(sorted(d.params.items()))) for i, d in fold))
+        if key not in memo:
+            memo[key] = _Powers(payload, fold)
+        steps.append((kind, idx, memo[key]))
+    return steps
+
+
+def _sweep(pp, frontier, steps):
+    """One-step expectations of a frontier of state monomials, as a table
+    and coefficients; row r holds the expectation of frontier[r].
+
+    The whole frontier goes through steps (_steps, reverse body order) at
+    once: an update replaces var^k by E[P^k], the k-th power of its
+    polynomial with its folded draws integrated out, and a draw left
+    unfolded replaces w^k by E[w^k].  Equal terms are combined after each
+    step that can make any (_may_merge); otherwise only exact zeros are
+    dropped."""
     n = len(frontier)
     k = len(pp.state_vars)
     table = np.zeros((len(pp.all_vars) + 1, n), dtype=np.int64)
     table[:k] = np.array(frontier, dtype=np.int64).reshape(n, k).T
     table[-1] = np.arange(n)
     coefs = np.ones(n)
-    for pos in range(len(pp.body) - 1, -1, -1):
-        kind, var, payload = pp.body[pos]
-        idx = pp.var_index[var]
+    for kind, idx, payload in steps:
         top = int(table[idx].max(initial=0))
         if not top:
             continue
-        if kind == "assign":
-            powers = _powers(payload, top, memo.setdefault(pos, []))
-            table, coefs = _substitute(table, coefs, idx, powers)
-        else:
-            table, coefs = _integrate(table, coefs, idx, payload)
-        table, coefs = _combine(table, coefs)
+        if kind == "draw":
+            table, coefs = _combine(*_integrate(table, coefs, idx, payload))
+            continue
+        powers = payload.upto(top)
+        merge = _may_merge(table, idx, powers)
+        table, coefs = _substitute(table, coefs, idx, powers)
+        if merge:
+            table, coefs = _combine(table, coefs)
+        elif not coefs.all():
+            keep = coefs != 0.0
+            table, coefs = table[:, keep], coefs[keep]
     survivors = table[k:-1].any(axis=1)
     if survivors.any():
         d = pp.draw_vars[int(np.argmax(survivors))]
@@ -476,23 +575,24 @@ def _sweep(pp, frontier, memo):
 def one_step_expectation(pp, monomial):
     """Expectation of a state monomial after one iteration, as a polynomial
     in the previous iteration's state monomials."""
-    table, coefs = _sweep(pp, [tuple(monomial)], {})
+    table, coefs = _sweep(pp, [tuple(monomial)], _steps(pp, {}))
     return MultiPoly._trusted(len(pp.all_vars), dict(zip(map(tuple, table[:-1].T.tolist()),
                                                           coefs.tolist())))
 
 
-def _close(pp, targets):
+def _close(pp, targets, memo):
     """close_monomials' closure in sorted order, and its step map as COO
     triplets (rows, cols, data) over that order.
 
     Monomials are numbered as they are met and swept in that order, which is
-    breadth first, _SWEEP_ROWS at a time, all sweeps sharing one memo of
-    update powers; a term's row is its sweep's row field plus the number of
-    the sweep's first monomial, and its column the number of its state
-    exponents, looked up once per distinct exponent column.  Draw exponents
-    are zero after a sweep and are dropped with the table.  A stable sort by
-    row keeps each row's terms in sweep order, so np.bincount adds them in
-    the order MultiPoly arithmetic would."""
+    breadth first, _SWEEP_ROWS at a time, all sweeps sharing the update
+    powers in memo (see _steps); a term's row is its sweep's row field plus
+    the number of the sweep's first monomial, and its column the number of
+    its state exponents, looked up once per distinct exponent column.  Draw
+    exponents are zero after a sweep and are dropped with the table.  A
+    stable sort by row keeps each row's terms in sweep order, so np.bincount
+    adds them in the order MultiPoly arithmetic with the same folded powers
+    would."""
     k = len(pp.state_vars)
     seeds = {(0,) * k}
     for t in targets:
@@ -507,12 +607,12 @@ def _close(pp, targets):
                 seeds.add(tuple(unit))
     monomials = list(seeds)
     number = {m: i for i, m in enumerate(monomials)}
-    memo = {}
+    steps = _steps(pp, memo)
     rows, cols, data = [], [], []
     swept = 0
     while swept < len(monomials):
         block = monomials[swept:swept + _SWEEP_ROWS]
-        table, coefs = _sweep(pp, block, memo)
+        table, coefs = _sweep(pp, block, steps)
         group, pick = _first_occurrences(table[:k])
         met = []
         for m in map(tuple, table[:k, pick].T.tolist()):
@@ -549,7 +649,7 @@ def close_monomials(pp, targets):
     and the targets' first powers) closed under one-step expectation, and
     each member's one-step expectation as a MultiPoly over all variables
     (draw exponents zero), its terms in the order they were made."""
-    order, (rows, cols, data) = _close(pp, targets)
+    order, (rows, cols, data) = _close(pp, targets, {})
     pad = (0,) * len(pp.draw_vars)
     full = [m + pad for m in order]
     terms = list(zip(map(full.__getitem__, cols.tolist()), data.tolist()))
@@ -607,11 +707,11 @@ def propagate(pp, targets, iterations):
     # each body is closed over the closure so far, so bodies that share a
     # support take one sweep each after the first; every body's closure
     # holds the set it was closed over, and the last one is the union
-    order, closed = tgt, []
+    order, closed, memo = tgt, [], {}
     while not closed or any(len(closure) < len(order) for closure, _ in closed):
         closed = []
         for body in bodies:
-            closed.append(_close(body, order))
+            closed.append(_close(body, order, memo))
             order = closed[-1][0]
 
     values = np.empty((iterations + 1, len(order)))

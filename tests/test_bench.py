@@ -1,11 +1,19 @@
-"""The table2 runner against the per-cell expansion path it replaced."""
+"""The table2 runner against the per-cell expansion path it replaced, and
+the library names the traced benchmark run wraps."""
 
+import importlib.util
 from collections import OrderedDict
+from pathlib import Path
 
+import pce_loops
 from pce_loops import bench, pce, quad
-from pce_loops.bench import TABLE2_ROWS, run_table2
+from pce_loops.bench import TABLE2_ROWS, program_path, run_table2
 from pce_loops.dist import Density, RandomVector, location_scale
+from pce_loops.engine import parse_monomial
+from pce_loops.lang import parse_file
 from pce_loops.pce import error_se, expand
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_table2_errors_match_the_per_cell_path_bitwise():
@@ -50,3 +58,40 @@ def test_traced_names_stay_bound_to_the_pce_functions():
     # these names and fails on a missing one.
     assert bench.expand is pce.expand
     assert bench.error_se is pce.error_se
+
+
+def _traced_attributes(targets):
+    """{(owner path, attribute): the object found there} for every name the
+    span recorder wraps; an owner path is "" for the package, a submodule
+    ("quad") or a class in one ("dist.Density")."""
+    found = {}
+    for _, owners, attr in targets:
+        for path in owners:
+            obj = pce_loops
+            for part in filter(None, path.split(".")):
+                obj = getattr(obj, part)
+            found[path, attr] = vars(obj)[attr]
+    return found
+
+
+def test_span_recorder_wraps_and_restores_every_traced_name():
+    """perfbench/spans.py, loaded read-only by path, wraps every name in its
+    TARGETS and refuses to start when one is missing, so a renamed or
+    removed traced name fails here, not only in the traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = _traced_attributes(spans.TARGETS)
+    program = parse_file(program_path("turning.ppl"))
+    with spans.Recorder(pce_loops) as recorder:
+        assert all(_traced_attributes(spans.TARGETS)[key] is not original
+                   for key, original in before.items())
+        pp = pce_loops.polynomialize(program, degree=3)
+        pce_loops.propagate(pp, ["x"], 3)
+        pce_loops.close_monomials(pp, [parse_monomial("x", pp.state_vars)])
+        pce_loops.engine.one_step_expectation(pp, parse_monomial("x", pp.state_vars))
+    after = _traced_attributes(spans.TARGETS)
+    assert all(after[key] is original for key, original in before.items())
+    assert {"engine.polynomialize", "engine.propagate", "engine.close_monomials",
+            "engine.one_step_expectation"} <= {span[0] for span in recorder.spans}
+    assert recorder.metrics()["engine.closure.monomials"] == 5

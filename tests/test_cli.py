@@ -192,6 +192,14 @@ def test_non_finite_density_parameters_are_usage_errors(spec, name, capsys):
     assert err.count("\n") == 1
 
 
+def test_density_integer_too_large_for_a_float_is_a_usage_error(capsys):
+    spec = '{"family": "Uniform", "a": 0, "b": 1' + "0" * 400 + "}"
+    code, _, err = run(["orthopoly", "--dist", spec, "--degree", "2"], capsys)
+    assert code == 1
+    assert "parameter 'b'" in err and "too large for a float" in err
+    assert err.count("\n") == 1
+
+
 def test_orthopoly_text_golden(capsys):
     code, out, _ = run(["orthopoly", "--dist",
                         '{"family": "TruncNormal", "mu": 2, "sigma": 0.1, "a": 1, "b": 3}',

@@ -599,12 +599,45 @@ def test_degree9_turning_matches_exact_rational_propagation(monkeypatch):
 # close_monomials sweeps a whole frontier of monomials through the body as
 # numpy arrays.  The oracle below is the per-monomial sweep it replaced:
 # MultiPoly.substitute for each update and a dict pass for each draw, in
-# reverse body order, one monomial at a time.
+# reverse body order, one monomial at a time.  With fold=True it also folds
+# each single-use draw into its update's powers, as the kernel does, and
+# then builds every step term with the kernel's arithmetic.
 
 
-def _dict_step(pp, monomial, memo):
+def _single_use_draws(pp):
+    """{update position: [(field, density), ...]}: the draws written once in
+    the body and read by exactly one update, below them, in body order."""
+    written = [var for _, var, _ in pp.body]
+    folds = {}
+    for pos, (kind, var, density) in enumerate(pp.body):
+        idx = pp.var_index[var]
+        readers = [r for r, (k, _, p) in enumerate(pp.body) if k == "assign" and p.degree_in(idx)]
+        if kind == "draw" and written.count(var) == 1 and len(readers) == 1 and readers[0] > pos:
+            folds.setdefault(readers[0], []).append((idx, density))
+    return folds
+
+
+def _fold_powers(powers, chain, poly, draws, top):
+    """Fill powers[k], k <= top, with E[poly^k] over draws: chain[k] is
+    poly^k, one product from the one below, and its terms are integrated
+    and added up in the order it holds them."""
+    while len(chain) <= top:
+        chain.append(chain[-1] * poly if len(chain) > 1 else poly)
+        out = {}
+        for e, c in chain[-1].terms.items():
+            for idx, density in draws:
+                if e[idx]:
+                    c = c * density.raw_moment(e[idx])
+                    e = e[:idx] + (0,) + e[idx + 1:]
+            out[e] = out.get(e, 0.0) + c
+        powers[len(chain) - 1] = MultiPoly._pruned(poly.arity, out)
+
+
+def _dict_step(pp, monomial, memo, folds=None):
     """One-step expectation of monomial; memo caches update powers by body
-    position."""
+    position.  folds maps an update's position to the draws folded into
+    its powers (_single_use_draws)."""
+    folds = folds or {}
     poly = MultiPoly(len(pp.all_vars), {tuple(monomial) + (0,) * len(pp.draw_vars): 1.0})
     for pos in range(len(pp.body) - 1, -1, -1):
         kind, var, payload = pp.body[pos]
@@ -612,7 +645,11 @@ def _dict_step(pp, monomial, memo):
         if not poly.degree_in(idx):
             continue
         if kind == "assign":
-            poly = poly.substitute(idx, payload, memo.setdefault(pos, {}))
+            powers = memo.setdefault(pos, {})
+            if pos in folds:
+                _fold_powers(powers, memo.setdefault(("chain", pos), [None]), payload,
+                             folds[pos], poly.degree_in(idx))
+            poly = poly.substitute(idx, payload, powers)
             continue
         out = {}
         for e, c in poly.terms.items():
@@ -624,13 +661,14 @@ def _dict_step(pp, monomial, memo):
     return poly
 
 
-def _dict_closure(pp, seeds):
+def _dict_closure(pp, seeds, fold=False):
     k = len(pp.state_vars)
     step, todo, memo = {}, list(seeds), {}
+    folds = _single_use_draws(pp) if fold else None
     while todo:
         m = todo.pop()
         if m not in step:
-            step[m] = _dict_step(pp, m, memo)
+            step[m] = _dict_step(pp, m, memo, folds)
             todo.extend(e[:k] for e in step[m].terms)
     return step
 
@@ -676,15 +714,90 @@ def test_closure_kernel_matches_dict_sweep_on_random_loops():
                                                               pp.state_vars)])
 
 
-def test_closure_kernel_sorts_exponents_wider_than_63_bits(monkeypatch):
-    """Eight state variables whose draws all come first: once every update
-    is substituted, each x_i carries exponent 16 and each w_i exponent 112,
-    96 bits together, so terms are sorted field by field instead of by one
-    packed key."""
+SHARED_AND_SINGLE_USE = """x = 0.5
+y = -0.25
+while true {
+ u = Uniform(-0.5, 1)
+ w = Normal(0.25, 0.5)
+ x := 0.5*x + u
+ y := y*w + 0.25*u*x + 0.75
+}"""
+
+
+def test_single_use_draw_is_folded_and_a_shared_one_is_not():
+    """u feeds both updates and keeps its own step; w feeds only y's and is
+    folded into its powers.  The closure matches the unfolded dict sweep,
+    and propagation the exact rational oracle."""
+    pp = polynomialize(parse(SHARED_AND_SINGLE_USE))
+    assert pp.all_vars == ["x", "y", "u", "w"]
+    assert {pos: [i for i, _ in fold] for pos, fold in engine._folds(pp).items()} == {3: [3]}
+    q = Fraction
+    body = [("draw", "u", ("Uniform", (q(-1, 2), q(1)))),
+            ("draw", "w", ("Normal", (q(1, 4), q(1, 2)))),
+            ("assign", "x", {(1, 0, 0, 0): q(1, 2), (0, 0, 1, 0): q(1)}),
+            ("assign", "y", {(0, 1, 0, 1): q(1), (1, 0, 1, 0): q(1, 4), (0, 0, 0, 0): q(3, 4)})]
+    for target in ("y^2", "x*y", "x^2*y^2"):
+        m = parse_monomial(target, pp.state_vars)
+        _assert_kernel_matches_dict_sweep(pp, [m])
+        exact, scale = _q_propagate(body, ["x", "y"], ["u", "w"],
+                                    {"x": q(1, 2), "y": q(-1, 4)}, m, 10)
+        table = propagate(pp, [target], 10)
+        for n in range(11):
+            assert abs(table.value(n, target) - float(exact[n])) <= 1e-12 * float(scale[n])
+
+
+def test_combine_runs_when_a_row_holds_several_degrees(monkeypatch):
+    """y's update leaves x^0, x^1 and x^2 in y's row, so substituting x
+    makes equal terms, which must be added up."""
+    pp = polynomialize(parse("x = 1\ny = 0\nwhile true {\n x := 0.5*x + 1\n y := y + x + x^2\n}"))
+    merges = []
+    real = engine._may_merge
+    monkeypatch.setattr(engine, "_may_merge", lambda *a: merges.append(real(*a)) or merges[-1])
+    _assert_kernel_matches_dict_sweep(pp, [(0, 1)])
+    assert True in merges
+    _, step = close_monomials(pp, [(0, 1)])
+    assert step[(0, 1)].terms == {(0, 1): 1.0, (1, 0): 1.5, (0, 0): 2.0, (2, 0): 0.25}
+
+
+def test_products_that_underflow_to_zero_are_dropped():
+    """b's row is 1e-200 * (1e-200 * a), an exact zero in floats, made by
+    substitutions that need no combine: it is dropped, as MultiPoly
+    arithmetic drops it, so a stays out of the closure."""
+    pp = polynomialize(parse("a = 1\nb = 1\nwhile true {\n a := 1e-200*a\n b := 1e-200*a\n}"))
+    closure, step = close_monomials(pp, [(0, 1)])
+    assert closure == {(0, 0), (0, 1)}
+    assert step[(0, 1)].terms == {}
+    _assert_kernel_matches_dict_sweep(pp, [(0, 1)])
+
+
+def test_draw_read_before_it_is_drawn_is_not_folded():
+    prog = LoopProgram(
+        [Init("x", 0.0)],
+        [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", Density.normal(0, 1))],
+    )
+    pp = polynomialize(prog)
+    assert engine._folds(pp) == {}
+    with pytest.raises(ValueError, match="survives the iteration"):
+        close_monomials(pp, [(1,)])
+
+
+def _wide_exponent_loop():
+    """Eight state variables whose draws all come first.  Each w_i feeds
+    two updates, x_i's as w_i^7 and x_(i-1)'s as w_i, so no draw is folded:
+    once every update is substituted, each x_i carries exponent 16 and each
+    w_i exponent 128, 104 bits together."""
     lines = [f"x{i} = 1" for i in range(8)] + ["while true {"]
     lines += [f" w{i} = Uniform(0, 1)" for i in range(8)]
-    lines += [" x0 := x0 * w0^7 + 1"] + [f" x{i} := x{i} * w{i}^7" for i in range(1, 8)]
+    lines += [f" x{i} := x{i} * w{i}^7 * w{(i + 1) % 8}" + " + 1" * (i == 0) for i in range(8)]
     pp = polynomialize(parse("\n".join(lines + ["}"])))
+    assert engine._folds(pp) == {}
+    return pp
+
+
+def test_closure_kernel_sorts_exponents_wider_than_63_bits(monkeypatch):
+    """The exponents of _wide_exponent_loop need more than 63 bits, so terms
+    are sorted field by field instead of by one packed key."""
+    pp = _wide_exponent_loop()
     lexsorts = []
     real_lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
@@ -731,12 +844,13 @@ def test_step_map_arrays_match_multipoly_rows_on_the_vehicle(degree):
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=degree)
     for target in ("x", "x^4", "x^2*y^2"):
         _assert_propagate_matches_multipoly_rows(pp, [target], 20)
-        # the rows are the per-monomial dict sweep's, term order included,
-        # so bincount adds every row as that sweep's arithmetic would
+        # the rows are the per-monomial dict sweep's with the same draws
+        # folded, term order included, so bincount adds every row as that
+        # sweep's arithmetic would
         m = parse_monomial(target, pp.state_vars)
         _, step = close_monomials(pp, [m])
         want = _dict_closure(pp, [(0,) * len(m), m] + [
-            tuple(int(j == i) for j in range(len(m))) for i, p in enumerate(m) if p])
+            tuple(int(j == i) for j in range(len(m))) for i, p in enumerate(m) if p], fold=True)
         assert all(list(step[r].terms.items()) == list(want[r].terms.items()) for r in step)
 
 
@@ -759,11 +873,7 @@ def test_step_map_arrays_match_multipoly_rows_on_random_loops():
 
 
 def test_step_map_arrays_match_multipoly_rows_wider_than_63_bits(monkeypatch):
-    """The loop of test_closure_kernel_sorts_exponents_wider_than_63_bits."""
-    lines = [f"x{i} = 1" for i in range(8)] + ["while true {"]
-    lines += [f" w{i} = Uniform(0, 1)" for i in range(8)]
-    lines += [" x0 := x0 * w0^7 + 1"] + [f" x{i} := x{i} * w{i}^7" for i in range(1, 8)]
-    pp = polynomialize(parse("\n".join(lines + ["}"])))
+    pp = _wide_exponent_loop()
     lexsorts = []
     real_lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
