@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import quad
 from .dist import Density, RandomVector, density_from_dict
 from .engine import polynomialize, propagate, simulate
 from .lang import parse_file
@@ -333,12 +334,16 @@ def run_table2(n_nodes=64):
     for i, row in enumerate(TABLE2_ROWS, start=1):
         germs = RandomVector([Density.of(*s) for s in row.germs])
         k = len(germs)
-        # Bases first: they ask for 128 recurrence rows, so both rules below
-        # are cut from one Stieltjes run per density instead of rerunning it.
+        # The error grid's rule first: it asks for the most recurrence rows,
+        # so the projection rule, which also checks the bases, is cut from
+        # the same Stieltjes run per density instead of rerunning it.
+        err_nodes = max(n_nodes, 96)
+        for d in germs:
+            quad.build_rule(d, err_nodes)  # through quad, where traces see it
         bases, coeffs, seconds = {}, {}, {}
         for deg in row.degrees:
             t0 = clock()
-            bases[deg] = _bases(germs, (deg,) * k)
+            bases[deg] = _bases(germs, (deg,) * k, n_nodes)
             seconds[deg] = clock() - t0
         rules, values = _grid(row.fn, germs, n_nodes)
         _check_square_integrable(values, rules)
@@ -348,7 +353,7 @@ def run_table2(n_nodes=64):
             seconds[deg] += clock() - t0
         # Each grid goes before the next is built, so no two are held at once.
         del values
-        rules, values = _grid(row.fn, germs, max(n_nodes, 96))
+        rules, values = _grid(row.fn, germs, err_nodes)
         for deg, ref in zip(row.degrees, row.reference):
             t0 = clock()
             mats = [b.eval_matrix(r.nodes) for b, r in zip(bases[deg], rules)]

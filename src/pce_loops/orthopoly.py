@@ -97,9 +97,10 @@ def _basis(density, max_degree):
 def gram_schmidt(density, max_degree, n_nodes=None):
     """Build the orthonormal basis of `density` up to `max_degree`.
 
-    Raises GramSchmidtError if its Gram matrix on an n_nodes Gauss rule (by
-    default twice the default node count) is off the identity by more than
-    1e-6, as on a rule too coarse for the degree.
+    Raises GramSchmidtError if its Gram matrix on an n_nodes Gauss rule is off
+    the identity by more than 1e-6, as on a rule too coarse for the degree
+    (n_nodes <= max_degree).  pce.expand passes its projection rule's size;
+    the default, twice the default node count, serves direct callers only.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")

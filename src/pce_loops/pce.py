@@ -145,9 +145,13 @@ def _check_square_integrable(values, rules):
         raise ValueError("integral of g^2 is not finite; g is not square-integrable here")
 
 
-def _bases(germs, degrees):
-    """One checked orthonormal basis per germ, of the matching degree."""
-    return [gram_schmidt(d, deg) for d, deg in zip(germs, degrees)]
+def _bases(germs, degrees, n_nodes):
+    """One orthonormal basis per germ, of the matching degree, each checked
+    on the germ's n_nodes projection rule (the one _grid builds), so no rule
+    is built for the check alone.  That rule integrates the Gram matrix
+    exactly when n_nodes exceeds the degree; when it does not, p_n_nodes
+    vanishes on every node and the check raises GramSchmidtError."""
+    return [gram_schmidt(d, deg, n_nodes) for d, deg in zip(germs, degrees)]
 
 
 def _project(values, rules, bases):
@@ -173,7 +177,9 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
 
     g takes one argument per germ (vectorized over numpy arrays).  Returns a
     PceExpansion whose coefficient j is the inner product of g with the j-th
-    product basis polynomial, in degree-matrix row order.
+    product basis polynomial, in degree-matrix row order.  Each basis is
+    checked on the n_nodes rule that projects onto it, so n_nodes must exceed
+    every degree, or GramSchmidtError is raised.
     """
     if isinstance(germs, Density):
         germs = RandomVector([germs])
@@ -181,7 +187,7 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
     if len(degrees) != len(germs):
         raise ValueError(f"{len(degrees)} degrees for {len(germs)} germs")
     D = DegreeMatrix(degrees)
-    bases = _bases(germs, degrees)
+    bases = _bases(germs, degrees, n_nodes)
     rules, values = _grid(g, germs, n_nodes)
     _check_square_integrable(values, rules)
     coeff_tensor, mats = _project(values, rules, bases)

@@ -53,6 +53,25 @@ def test_table2_runs_stieltjes_once_per_density(monkeypatch):
     assert len(runs) == len(standards) == 5
 
 
+def test_expansion_layer_builds_no_rule_for_a_gram_check(monkeypatch):
+    # Each basis is checked on the rule that projects onto it, so the rules
+    # built are table2's 64- and 96-node grids and appendix-b's 64-node grid.
+    runs, eigs = [], []
+    real_run, real_gw = quad._recurrence_coefficients, quad._golub_welsch
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
+    monkeypatch.setattr(quad, "_recurrence_coefficients",
+                        lambda pts, mass, n: runs.append(n) or real_run(pts, mass, n))
+    monkeypatch.setattr(quad, "_golub_welsch",
+                        lambda alphas, offdiag: eigs.append(len(alphas))
+                        or real_gw(alphas, offdiag))
+    run_table2()
+    assert runs == [96] * 5
+    assert sorted(eigs) == [64] * 5 + [96] * 5
+    del runs[:], eigs[:]
+    bench.run_appendix_b()
+    assert (runs, eigs) == ([64], [64])
+
+
 def test_traced_names_stay_bound_to_the_pce_functions():
     # perfbench/spans.py installs its pce.expand and pce.error_se spans at
     # these names and fails on a missing one.

@@ -180,6 +180,17 @@ def test_numeric_failure_is_one_line(capsys):
     assert err.count("\n") == 1
 
 
+def test_projection_rule_too_coarse_for_the_degree_is_refused(capsys):
+    # p_8 vanishes on the 8 projection nodes, so a degree-9 expansion on them
+    # would return moments silently 1.2e-3 off
+    code, out, err = run(["moments", TURNING, "--target", "x", "--degrees", "9",
+                          "--n", "20", "--quad-nodes", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pce-loops: numeric failure: orthogonality lost")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec, name", [
     ('{"family": "Uniform", "a": 0, "b": Infinity}', "b"),
     ('{"family": "Normal", "mu": NaN, "sigma": 1}', "mu"),

@@ -8,6 +8,7 @@ import pytest
 from pce_loops import orthopoly
 from pce_loops.dist import Density
 from pce_loops.orthopoly import GramSchmidtError, gram_schmidt
+from pce_loops.pce import expand
 from pce_loops.quad import build_rule
 
 
@@ -100,6 +101,17 @@ def test_narrow_density_stays_conditioned():
 def test_too_few_nodes_raises():
     with pytest.raises(GramSchmidtError):
         gram_schmidt(Density.uniform(0.0, 1.0), 8, n_nodes=4)
+
+
+def test_high_degree_normal_passes_on_its_projection_rule():
+    # expand checks on its own 64-node rule, which holds the Gram residual
+    # near 4e-7 up to degree 63; the 128-node default, whose tail weights
+    # are noisier, still refuses degree 30.
+    germ = Density.normal(0.0, 1.0)
+    for deg in range(30, 64):
+        assert expand(np.cos, germ, (deg,)).bases[0].gram_residual < 1e-6
+    with pytest.raises(GramSchmidtError):
+        gram_schmidt(germ, 30)
 
 
 def test_eval_matrix_shape_and_first_column():

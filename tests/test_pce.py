@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from pce_loops.dist import Density, RandomVector
+from pce_loops.orthopoly import GramSchmidtError
 from pce_loops.pce import (
     DegreeMatrix,
     LagrangeConditional,
@@ -241,6 +242,14 @@ def test_lagrange_as_multipoly_matches_pointwise():
 def test_expand_rejects_mismatched_degrees():
     with pytest.raises(ValueError):
         expand(np.exp, GOLD_GERMS, (2,))
+
+
+def test_expand_checks_each_basis_on_its_projection_rule():
+    # a 9-node rule cannot integrate p_9^2 (p_9 vanishes on its nodes); 10 can
+    germ = Density.normal(0.0, 1.0)
+    with pytest.raises(GramSchmidtError):
+        expand(np.cos, germ, (9,), n_nodes=9)
+    assert expand(np.cos, germ, (9,), n_nodes=10).bases[0].gram_residual < 1e-12
 
 
 def test_expand_rejects_non_square_integrable_values():
