@@ -17,7 +17,7 @@ from . import quad
 from .dist import Density, RandomVector, density_from_dict
 from .engine import polynomialize, propagate, simulate
 from .lang import parse_file
-from .pce import _bases, _check_square_integrable, _grid, _project, _residual_se
+from .pce import _bases, _project, _se, _square_errors
 # perfbench/spans.py wraps both names here, error_se too though nothing here
 # calls it.
 from .pce import error_se, expand  # noqa: F401
@@ -324,40 +324,34 @@ TABLE2_ROWS = (
 def run_table2(n_nodes=64):
     """Recompute every (degree, error) cell of the approximation table.
 
-    Each row evaluates its function once on the n_nodes grid and projects
-    every degree from those values, then evaluates it once on the finer
+    Each row evaluates its function once on the n_nodes grid, a slab at a
+    time, and projects every degree from each slab, then once on the finer
     error grid for every degree's residual.  A cell's expansion_ms covers
-    its own basis, projection and residual.
+    its own basis and its slab contractions; the function evaluations are
+    in no cell.
     """
     report = {"suite": "table2", "status": "ok", "rows": []}
     clock = time.perf_counter
     for i, row in enumerate(TABLE2_ROWS, start=1):
         germs = RandomVector([Density.of(*s) for s in row.germs])
         k = len(germs)
-        # The error grid's rule first: it asks for the most recurrence rows,
-        # so the projection rule, which also checks the bases, is cut from
-        # the same Stieltjes run per density instead of rerunning it.
-        err_nodes = max(n_nodes, 96)
-        for d in germs:
-            quad.build_rule(d, err_nodes)  # through quad, where traces see it
-        bases, coeffs, seconds = {}, {}, {}
+        # The error grid's rules first: they ask for the most recurrence
+        # rows, so the projection rules, which also check the bases, are cut
+        # from the same Stieltjes run per density instead of rerunning it.
+        err_rules = [quad.build_rule(d, max(n_nodes, 96)) for d in germs]
+        rules = [quad.build_rule(d, n_nodes) for d in germs]
+        mats, err_mats, seconds = [], [], []
         for deg in row.degrees:
             t0 = clock()
-            bases[deg] = _bases(germs, (deg,) * k, n_nodes)
-            seconds[deg] = clock() - t0
-        rules, values = _grid(row.fn, germs, n_nodes)
-        _check_square_integrable(values, rules)
-        for deg in row.degrees:
-            t0 = clock()
-            coeffs[deg] = _project(values, rules, bases[deg])[0]
-            seconds[deg] += clock() - t0
-        # Each grid goes before the next is built, so no two are held at once.
-        del values
-        rules, values = _grid(row.fn, germs, err_nodes)
-        for deg, ref in zip(row.degrees, row.reference):
-            t0 = clock()
-            mats = [b.eval_matrix(r.nodes) for b, r in zip(bases[deg], rules)]
-            err = _residual_se(values, coeffs[deg], mats, rules)
+            bases = _bases(germs, (deg,) * k, n_nodes)
+            mats.append([b.eval_matrix(r.nodes) for b, r in zip(bases, rules)])
+            err_mats.append([b.eval_matrix(r.nodes) for b, r in zip(bases, err_rules)])
+            seconds.append(clock() - t0)
+        coeffs, spent = _project(row.fn, rules, mats)
+        square_errors, spent_err = _square_errors(
+            row.fn, err_rules, [None] + list(zip(coeffs, err_mats)))
+        for j, (deg, ref) in enumerate(zip(row.degrees, row.reference)):
+            err = _se(square_errors[j + 1])
             report["rows"].append({
                 "row": i,
                 "function": row.label,
@@ -366,7 +360,6 @@ def run_table2(n_nodes=64):
                 "error": err,
                 "reference": ref,
                 "ratio": err / ref,
-                "expansion_ms": 1e3 * (seconds[deg] + clock() - t0),
+                "expansion_ms": 1e3 * (seconds[j] + spent[j] + spent_err[j + 1]),
             })
-        del values
     return report

@@ -6,15 +6,22 @@ whose per-variable degrees stay within a degree vector; the Fourier
 coefficients are tensor-product quadrature integrals, the estimator is the
 assembled multivariate polynomial (built on first read, since callers that
 need only coefficients or errors never read it), and se is the L2 norm of
-the residual under the joint density.  Also here: the normal-reference error
-bound and the paper's iteration-conditioned Lagrange estimator.
+the residual under the joint density.  The function is evaluated on the
+tensor grid in slabs of at most quad._SLAB_POINTS points (quad._slabs), once
+for the coefficients and once for the residual, so memory does not grow
+with the grid: the projection takes slabs along the last germ axis and
+contracts the others per slab, the residual takes slabs along the first.
+Also here: the normal-reference error bound and the paper's
+iteration-conditioned Lagrange estimator.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
 
+from . import quad
 from .dist import Density, RandomVector
 from .orthopoly import _basis, gram_schmidt
 from .poly import MultiPoly
@@ -118,58 +125,97 @@ class PceExpansion:
         )
 
 
-def _grid(g, germs, n_nodes):
-    """(rules, values): the germs' n_nodes Gauss rules and g on their tensor
-    grid.  Raises ValueError if g is not finite at a grid point; numpy's
-    warnings for it are silenced, since the error reports it."""
-    rules = [build_rule(d, n_nodes) for d in germs]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij", sparse=True)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = np.asarray(g(*grids), dtype=float)
-    vals = np.broadcast_to(vals, tuple(len(r) for r in rules)).copy()
-    if not np.isfinite(vals).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
-        node = tuple(float(rules[d].nodes[idx[d]]) for d in range(len(rules)))
-        raise ValueError(f"function is not finite at germ point {node}")
-    return rules, vals
-
-
-def _check_square_integrable(values, rules):
-    """Numeric stand-in for the L2 precondition on finite grid values: a
-    finite int g^2."""
-    with np.errstate(over="ignore"):
-        sq = values**2
-    for r in reversed(rules):
-        sq = sq @ r.weights
-    if not np.isfinite(sq):
-        raise ValueError("integral of g^2 is not finite; g is not square-integrable here")
-
-
 def _bases(germs, degrees, n_nodes):
     """One orthonormal basis per germ, of the matching degree, each checked
-    on the germ's n_nodes projection rule (the one _grid builds), so no rule
-    is built for the check alone.  That rule integrates the Gram matrix
+    on the germ's n_nodes projection rule (the one expand projects on), so
+    no rule is built for the check alone.  That rule integrates the Gram matrix
     exactly when n_nodes exceeds the degree; when it does not, p_n_nodes
     vanishes on every node and the check raises GramSchmidtError."""
     return [gram_schmidt(d, deg, n_nodes) for d, deg in zip(germs, degrees)]
 
 
-def _project(values, rules, bases):
-    """(coefficient tensor, basis value matrices) of checked grid values.
+_NOT_FINITE = "function is not finite at germ point {point}"
 
-    Axis i of the tensor runs over degrees 0 .. bases[i].max_degree, so its
-    row-major order is the degree-matrix order.  Contracting the value
-    tensor with each weighted basis matrix in turn yields every coefficient.
+
+def _project(g, rules, mat_sets):
+    """(coefficient tensors, seconds), one per entry of mat_sets, each entry
+    holding the value matrices of one basis per germ on the rules' nodes.
+
+    Axis i of a tensor runs over degrees 0 .. its basis's degree, so its
+    row-major order is the degree-matrix order.  g is evaluated once, in
+    slabs along the last germ axis; each slab is contracted with the
+    weighted basis matrices of axes 0 .. k-2 in turn, and the partials,
+    joined end to end along the last axis, with the last one.  seconds[i]
+    is the time entry i's contractions took, evaluating g excluded.
     """
-    mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
-    coeff_tensor = values
-    for mat, r in zip(mats, rules):
-        # move leading node axis to the back as a degree axis
-        coeff_tensor = np.tensordot(coeff_tensor, r.weights[:, None] * mat, axes=([0], [0]))
-    if not np.isfinite(coeff_tensor).all():
-        row = tuple(int(i) for i in np.argwhere(~np.isfinite(coeff_tensor))[0])
-        raise ValueError(f"coefficient for degree row {row} is not finite")
-    return coeff_tensor, mats
+    weighted = [[r.weights[:, None] * mat for mat, r in zip(mats, rules)] for mats in mat_sets]
+    partials = [[] for _ in mat_sets]
+    seconds = [0.0] * len(mat_sets)
+    for _, values in quad._slabs(g, rules, -1, _NOT_FINITE):
+        for i, mats in enumerate(weighted):
+            t0 = time.perf_counter()
+            partial = values
+            for mat in mats[:-1]:
+                # move the leading node axis to the back as a degree axis
+                partial = np.tensordot(partial, mat, axes=([0], [0]))
+            partials[i].append(partial)
+            seconds[i] += time.perf_counter() - t0
+    tensors = []
+    for i, mats in enumerate(weighted):
+        t0 = time.perf_counter()
+        coeff_tensor = np.tensordot(np.concatenate(partials[i]), mats[-1], axes=([0], [0]))
+        if not np.isfinite(coeff_tensor).all():
+            row = tuple(int(j) for j in np.argwhere(~np.isfinite(coeff_tensor))[0])
+            raise ValueError(f"coefficient for degree row {row} is not finite")
+        tensors.append(coeff_tensor)
+        seconds[i] += time.perf_counter() - t0
+    return tensors, seconds
+
+
+def _square_errors(g, rules, fits):
+    """(integrals, seconds): int (g - ghat)^2 dF on the tensor grid of rules
+    for each fit, a fit being (coefficient tensor, basis value matrices on
+    the rules' nodes), with ghat evaluated through the matrices (exact and
+    stable, unlike raw monomial form).  A fit of None stands for ghat = 0:
+    its integral, int g^2 dF, is the numeric stand-in for the L2
+    precondition on finite values, and ValueError is raised unless it is
+    finite.
+
+    g is evaluated once, in slabs along axis 0; each slab's squares are
+    summed over the trailing axes, last first, and the sums, joined end to
+    end, over axis 0.  seconds[i] is the time fit i took, evaluating g
+    excluded.
+    """
+    sums = [[] for _ in fits]
+    seconds = [0.0] * len(fits)
+    for lo, values in quad._slabs(g, rules, 0, _NOT_FINITE):
+        for i, fit in enumerate(fits):
+            t0 = time.perf_counter()
+            with np.errstate(over="ignore"):
+                if fit is None:
+                    sq = values**2
+                else:
+                    coeff_tensor, mats = fit
+                    approx = np.tensordot(coeff_tensor, mats[0][lo:lo + len(values)],
+                                          axes=([0], [1]))
+                    for mat in mats[1:]:
+                        approx = np.tensordot(approx, mat, axes=([0], [1]))
+                    # approx is a fresh array: reuse it for the residual and its square
+                    sq = np.square(np.subtract(values, approx, out=approx), out=approx)
+            sums[i].append(quad._contract_trailing(sq, rules))
+            seconds[i] += time.perf_counter() - t0
+    integrals = []
+    for i, fit in enumerate(fits):
+        t0 = time.perf_counter()
+        integrals.append(float(np.concatenate(sums[i]) @ rules[0].weights))
+        seconds[i] += time.perf_counter() - t0
+        if fit is None and not math.isfinite(integrals[-1]):
+            raise ValueError("integral of g^2 is not finite; g is not square-integrable here")
+    return integrals, seconds
+
+
+def _se(square_error):
+    return math.sqrt(max(square_error, 0.0))
 
 
 def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
@@ -188,11 +234,11 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
         raise ValueError(f"{len(degrees)} degrees for {len(germs)} germs")
     D = DegreeMatrix(degrees)
     bases = _bases(germs, degrees, n_nodes)
-    rules, values = _grid(g, germs, n_nodes)
-    _check_square_integrable(values, rules)
-    coeff_tensor, mats = _project(values, rules, bases)
-    se = _residual_se(values, coeff_tensor, mats, rules)
-    return PceExpansion(germs, bases, D, coeff_tensor.reshape(-1), se)
+    rules = [build_rule(d, n_nodes) for d in germs]
+    mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
+    (coeff_tensor,), _ = _project(g, rules, [mats])
+    (_, square_error), _ = _square_errors(g, rules, [None, (coeff_tensor, mats)])
+    return PceExpansion(germs, bases, D, coeff_tensor.reshape(-1), _se(square_error))
 
 
 def _assemble_estimator(bases, D, coeffs):
@@ -213,25 +259,13 @@ def _assemble_estimator(bases, D, coeffs):
     return MultiPoly._trusted(k, {e: c for e, c in total.terms.items() if abs(c) >= cap})
 
 
-def _residual_se(values, coeff_tensor, mats, rules):
-    """sqrt(int (g - ghat)^2 dF) on a tensor grid, with ghat evaluated through
-    the basis value matrices (exact and stable, unlike raw monomial form)."""
-    approx = coeff_tensor
-    for mat in mats:
-        approx = np.tensordot(approx, mat, axes=([0], [1]))
-    # approx is a fresh array: reuse it for the residual and its square
-    resid_sq = np.square(np.subtract(values, approx, out=approx), out=approx)
-    for r in reversed(rules):
-        resid_sq = resid_sq @ r.weights
-    return math.sqrt(max(float(resid_sq), 0.0))
-
-
 def error_se(expansion, g, n_nodes=DEFAULT_NODES):
     """Recompute sqrt(int (g - ghat)^2 dF) for an existing expansion."""
-    rules, values = _grid(g, expansion.germs, n_nodes)
+    rules = [build_rule(d, n_nodes) for d in expansion.germs]
     mats = [b.eval_matrix(r.nodes) for b, r in zip(expansion.bases, rules)]
     shape = tuple(deg + 1 for deg in expansion.D.degrees)
-    return _residual_se(values, expansion.coeffs.reshape(shape), mats, rules)
+    (square_error,), _ = _square_errors(g, rules, [(expansion.coeffs.reshape(shape), mats)])
+    return _se(square_error)
 
 
 # -- degree-independent error bound under a truncated density --------------

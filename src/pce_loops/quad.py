@@ -16,9 +16,16 @@ its memo entry is filled from the standard's: alphas = loc + scale*alphas_Z,
 offdiag = scale*offdiag_Z, nodes = loc + scale*nodes_Z clipped to the
 support, and the weights are the standard rule's own array.  The map is
 also better conditioned than a run on an off-centre support.
-integrate tensorizes univariate rules for multivariate expectations.
+integrate tensorizes univariate rules for multivariate expectations.  Every
+pass over a tensor grid, here and in pce, evaluates the integrand in slabs
+of at most _SLAB_POINTS points (_slabs): runs of consecutive nodes along the
+first or the last axis, with every node of the others, so memory does not
+grow with the grid.  Each slab is contracted over the same axes in the same
+order as the whole grid was; BLAS may group the rows of a narrow slab
+differently, which can move a result in its last digits.
 """
 
+import math
 import threading
 from collections import OrderedDict
 
@@ -33,6 +40,10 @@ __all__ = ["QuadratureRule", "build_rule", "integrate", "convergence_report", "D
 DEFAULT_NODES = 64
 
 _BACKBONE_PANELS = 80
+
+# Most grid points a tensor-grid pass evaluates at once (0.5 MiB of float64):
+# a pass keeps a few slabs of this size live, never the whole grid.
+_SLAB_POINTS = 2**16
 
 # Densities in the memo, which maps a density key to [alphas, offdiag,
 # {n_nodes: read-only (nodes, weights)}]; the least recently used goes first.
@@ -189,29 +200,59 @@ def build_rule(density, n_nodes=DEFAULT_NODES):
     return QuadratureRule(nodes, weights, density, n_nodes)
 
 
+def _slabs(f, rules, axis, message):
+    """Evaluate f on the tensor grid of rules one slab at a time.
+
+    A slab is a run of consecutive nodes along axis (0 or -1) with every
+    node of the other axes: as many as keep it within _SLAB_POINTS points,
+    and at least one.  Yields (lo, values), values being f on the slab whose
+    first node along axis is lo (broadcast to the slab's shape), so no pass
+    holds the whole grid.  A non-finite value raises ValueError with
+    message.format(point=..., index=...) naming the first such point of its
+    slab and its index in the whole grid; numpy's warnings for it are
+    silenced, since the error reports it.
+    """
+    nodes = [r.nodes for r in rules]
+    axis %= len(nodes)
+    rows = len(nodes[axis])
+    width = max(1, _SLAB_POINTS * rows // math.prod(len(x) for x in nodes))
+    for lo in range(0, rows, width):
+        part = list(nodes)
+        part[axis] = nodes[axis][lo:lo + width]
+        grids = np.meshgrid(*part, indexing="ij", sparse=True)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            values = np.asarray(f(*grids), dtype=float)
+        values = np.broadcast_to(values, tuple(len(x) for x in part))
+        bad = ~np.isfinite(values)
+        if bad.any():
+            index = [int(i) for i in np.argwhere(bad)[0]]
+            index[axis] += lo
+            point = tuple(float(x[i]) for x, i in zip(nodes, index))
+            raise ValueError(message.format(point=point, index=tuple(index)))
+        yield lo, values
+
+
+def _contract_trailing(values, rules):
+    """Weighted sums of values over every axis but the first, last axis
+    first; rules[i] weighs axis i."""
+    for r in reversed(rules[1:]):
+        values = values @ r.weights
+    return values
+
+
 def integrate(f, rules):
     """Tensor-product expectation of f under the product of rule measures.
 
     f is called with one array argument per rule (broadcast over the tensor
-    grid) and must return finite values at every node.
+    grid, a slab of it at a time) and must return finite values at every
+    node.
     """
     rules = list(rules)
     if not rules:
         raise ValueError("need at least one rule")
-    k = len(rules)
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij", sparse=True)
-    values = np.asarray(f(*grids), dtype=float)
-    shape = tuple(len(r) for r in rules)
-    values = np.broadcast_to(values, shape)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        node = tuple(float(rules[d].nodes[idx[d]]) for d in range(k))
-        raise ValueError(f"integrand is not finite at node {node} (grid index {idx})")
-    total = values
-    for r in reversed(rules):
-        total = total @ r.weights
-    return float(total)
+    message = "integrand is not finite at node {point} (grid index {index})"
+    sums = [_contract_trailing(values, rules) for _, values in _slabs(f, rules, 0, message)]
+    return float(np.concatenate(sums) @ rules[0].weights)
 
 
 def convergence_report(f, densities, n_nodes=DEFAULT_NODES):

@@ -5,6 +5,8 @@ import importlib.util
 from collections import OrderedDict
 from pathlib import Path
 
+import pytest
+
 import pce_loops
 from pce_loops import bench, pce, quad
 from pce_loops.bench import TABLE2_ROWS, program_path, run_table2
@@ -12,6 +14,7 @@ from pce_loops.dist import Density, RandomVector, location_scale
 from pce_loops.engine import parse_monomial
 from pce_loops.lang import parse_file
 from pce_loops.pce import error_se, expand
+from test_pce import SLAB_SIZES, agree, traced_peak_mib
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -114,3 +117,25 @@ def test_span_recorder_wraps_and_restores_every_traced_name():
     assert {"engine.polynomialize", "engine.propagate", "engine.close_monomials",
             "engine.one_step_expectation"} <= {span[0] for span in recorder.spans}
     assert recorder.metrics()["engine.closure.monomials"] == 5
+
+
+def test_table2_holds_no_whole_grid():
+    # row 4's 96^3 error grid alone is 6.75 MiB of float64
+    assert traced_peak_mib(run_table2) <= 4.0
+
+
+@pytest.mark.parametrize("slab_points", SLAB_SIZES)
+def test_table2_errors_do_not_depend_on_the_slab_size(monkeypatch, slab_points):
+    # A residual's rounding scales with the function, not with the residual:
+    # with one-row slabs the degree-5 cell of row 2 (5.9e-5) moves by 8e-14
+    # of itself, 1.4e-17 of its row's degree-1 error.
+    def errors():
+        rows = {}
+        for r in run_table2()["rows"]:
+            rows.setdefault(r["row"], []).append(r["error"])
+        return rows
+    want = errors()
+    monkeypatch.setattr(quad, "_SLAB_POINTS", slab_points)
+    got = errors()
+    for row, cells in want.items():
+        assert agree(got[row], cells)

@@ -2,11 +2,14 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from pce_loops import quad
+from pce_loops.bench import TABLE2_ROWS
 from pce_loops.dist import Density, RandomVector
 from pce_loops.orthopoly import GramSchmidtError
 from pce_loops.pce import (
@@ -285,3 +288,74 @@ def test_expand_reports_where_the_function_is_not_finite():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^integral of g\\^2 is not finite"):
             expand(lambda x: np.exp(200.0 * x), u, (2,))
+
+
+def traced_peak_mib(fn):
+    """Peak of tracemalloc's traced memory over a call of fn, above what was
+    traced when it started, in MiB; fn runs once untraced first, so memos
+    are warm."""
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+# table2's three-germ row
+THREE_GERMS = RandomVector([Density.of(*s) for s in TABLE2_ROWS[3].germs])
+THREE_GERM_FN = TABLE2_ROWS[3].fn
+
+
+def test_three_germ_expand_holds_no_whole_grid():
+    # one float64 grid of 96^3 points is 6.75 MiB
+    peak = traced_peak_mib(lambda: expand(THREE_GERM_FN, THREE_GERMS, (3, 3, 3), n_nodes=96))
+    assert peak < 3.0
+
+
+def agree(got, want):
+    """Within 1e-14 of the largest |want|: narrow slabs let BLAS sum in
+    another order, so digits of noise-sized values may move."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# 1 gives one node row per slab; 5 * 96^2 gives 5 rows of a 96^3 grid and 11
+# of a 64^3 one, dividing neither node count
+SLAB_SIZES = (1, 5 * 96 * 96)
+
+
+@pytest.mark.parametrize("slab_points", SLAB_SIZES)
+def test_expand_and_error_se_do_not_depend_on_the_slab_size(monkeypatch, slab_points):
+    def run():
+        e = expand(THREE_GERM_FN, THREE_GERMS, (3, 2, 3), n_nodes=96)
+        return e.coeffs, e.se, error_se(e, THREE_GERM_FN, n_nodes=80)
+    want = run()
+    monkeypatch.setattr(quad, "_SLAB_POINTS", slab_points)
+    got = run()
+    assert agree(got[0], want[0])
+    assert agree(got[1], want[1]) and agree(got[2], want[2])
+
+
+def test_a_non_finite_point_in_a_later_slab_is_named(monkeypatch):
+    monkeypatch.setattr(quad, "_SLAB_POINTS", 1)
+    nodes = [build_rule(d, 24).nodes for d in THREE_GERMS]
+    pole = float(nodes[2][17])
+    message = (f"function is not finite at germ point "
+               f"({float(nodes[0][0])!r}, {float(nodes[1][0])!r}, {pole!r})")
+    # the projection takes slabs along the last germ axis
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        expand(lambda x, y, z: x * y / (z - pole), THREE_GERMS, (1, 1, 1), n_nodes=24)
+    # error_se takes slabs along the first
+    e = expand(THREE_GERM_FN, THREE_GERMS, (1, 1, 1), n_nodes=24)
+    pole = float(nodes[0][17])
+    message = (f"function is not finite at germ point "
+               f"({pole!r}, {float(nodes[1][0])!r}, {float(nodes[2][0])!r})")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        error_se(e, lambda x, y, z: y * z / (x - pole), n_nodes=24)

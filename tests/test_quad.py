@@ -1,6 +1,7 @@
 """Gauss rules against arbitrary densities and tensor-grid integration."""
 
 import math
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -11,6 +12,7 @@ from pce_loops.dist import Density, location_scale
 from pce_loops.orthopoly import gram_schmidt
 from pce_loops.pce import expand
 from pce_loops.quad import build_rule, convergence_report, integrate
+from test_pce import SLAB_SIZES
 
 
 CORPUS = [
@@ -193,3 +195,26 @@ def test_lagrange_germs_cost_one_stieltjes_run(monkeypatch):
     for n in range(1, 9):
         expand(np.cos, Density.normal(0.0, 0.5 * math.sqrt(n)), (8,))
     assert (len(runs), len(eigs)) == (1, 1)
+
+
+SLAB_GRID = [build_rule(Density.uniform(0.0, 1.0), 96), build_rule(Density.normal(0.0, 1.0), 96),
+             build_rule(Density.trunc_gamma(1.0, 3.0, 0.5, 1.0), 96)]
+
+
+@pytest.mark.parametrize("slab_points", SLAB_SIZES)
+def test_integrate_does_not_depend_on_the_slab_size(monkeypatch, slab_points):
+    def f(x, y, z):
+        return np.exp(x * y - z) + x * z
+    want = integrate(f, SLAB_GRID)
+    monkeypatch.setattr(quad, "_SLAB_POINTS", slab_points)
+    assert abs(integrate(f, SLAB_GRID) - want) <= 1e-14 * abs(want)
+
+
+def test_integrate_names_a_non_finite_node_in_a_later_slab(monkeypatch):
+    monkeypatch.setattr(quad, "_SLAB_POINTS", 1)
+    nodes = [r.nodes for r in SLAB_GRID]
+    pole = float(nodes[0][50])
+    point = (pole, float(nodes[1][0]), float(nodes[2][0]))
+    message = f"integrand is not finite at node {point} (grid index (50, 0, 0))"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(lambda x, y, z: y * z / (x - pole), SLAB_GRID)
