@@ -372,17 +372,19 @@ def _bench_csv_rows(rep):
     out = []
     for r in rep["rows"]:
         out.append((rep["benchmark"], rep["target"], sim, r["degree"],
-                    r["result"], r["reference"], r["rel_dev"], "ok"))
+                    r["result"], r["reference"], r["rel_dev"], r["status"]))
     return out
 
 
 def cmd_table2(args):
+    t0 = time.perf_counter()
     rep = bench_mod.run_table2(n_nodes=args.quad_nodes)
     report = RunReport(
         command="table2",
         inputs={},
         config={"quad_nodes": args.quad_nodes},
         results=rep,
+        timings={"table2_ms": 1e3 * (time.perf_counter() - t0)},
     )
     if args.format == "json":
         _emit(report.to_json(), args.out)

@@ -17,7 +17,6 @@ iteration-conditioned Lagrange estimator.
 
 import itertools
 import math
-import time
 
 import numpy as np
 
@@ -138,59 +137,49 @@ _NOT_FINITE = "function is not finite at germ point {point}"
 
 
 def _project(g, rules, mat_sets):
-    """(coefficient tensors, seconds), one per entry of mat_sets, each entry
-    holding the value matrices of one basis per germ on the rules' nodes.
+    """Coefficient tensors, one per entry of mat_sets, each entry holding the
+    value matrices of one basis per germ on the rules' nodes.
 
     Axis i of a tensor runs over degrees 0 .. its basis's degree, so its
     row-major order is the degree-matrix order.  g is evaluated once, in
     slabs along the last germ axis; each slab is contracted with the
     weighted basis matrices of axes 0 .. k-2 in turn, and the partials,
-    joined end to end along the last axis, with the last one.  seconds[i]
-    is the time entry i's contractions took, evaluating g excluded.
+    joined end to end along the last axis, with the last one.
     """
     weighted = [[r.weights[:, None] * mat for mat, r in zip(mats, rules)] for mats in mat_sets]
     partials = [[] for _ in mat_sets]
-    seconds = [0.0] * len(mat_sets)
     for _, values in quad._slabs(g, rules, -1, _NOT_FINITE):
-        for i, mats in enumerate(weighted):
-            t0 = time.perf_counter()
+        for mats, parts in zip(weighted, partials):
             partial = values
             for mat in mats[:-1]:
                 # move the leading node axis to the back as a degree axis
                 partial = np.tensordot(partial, mat, axes=([0], [0]))
-            partials[i].append(partial)
-            seconds[i] += time.perf_counter() - t0
+            parts.append(partial)
     tensors = []
-    for i, mats in enumerate(weighted):
-        t0 = time.perf_counter()
-        coeff_tensor = np.tensordot(np.concatenate(partials[i]), mats[-1], axes=([0], [0]))
+    for mats, parts in zip(weighted, partials):
+        coeff_tensor = np.tensordot(np.concatenate(parts), mats[-1], axes=([0], [0]))
         if not np.isfinite(coeff_tensor).all():
             row = tuple(int(j) for j in np.argwhere(~np.isfinite(coeff_tensor))[0])
             raise ValueError(f"coefficient for degree row {row} is not finite")
         tensors.append(coeff_tensor)
-        seconds[i] += time.perf_counter() - t0
-    return tensors, seconds
+    return tensors
 
 
 def _square_errors(g, rules, fits):
-    """(integrals, seconds): int (g - ghat)^2 dF on the tensor grid of rules
-    for each fit, a fit being (coefficient tensor, basis value matrices on
-    the rules' nodes), with ghat evaluated through the matrices (exact and
-    stable, unlike raw monomial form).  A fit of None stands for ghat = 0:
-    its integral, int g^2 dF, is the numeric stand-in for the L2
-    precondition on finite values, and ValueError is raised unless it is
-    finite.
+    """int (g - ghat)^2 dF on the tensor grid of rules for each fit, a fit
+    being (coefficient tensor, basis value matrices on the rules' nodes),
+    with ghat evaluated through the matrices (exact and stable, unlike raw
+    monomial form).  A fit of None stands for ghat = 0: its integral,
+    int g^2 dF, is the numeric stand-in for the L2 precondition on finite
+    values, and ValueError is raised unless it is finite.
 
     g is evaluated once, in slabs along axis 0; each slab's squares are
     summed over the trailing axes, last first, and the sums, joined end to
-    end, over axis 0.  seconds[i] is the time fit i took, evaluating g
-    excluded.
+    end, over axis 0.
     """
     sums = [[] for _ in fits]
-    seconds = [0.0] * len(fits)
     for lo, values in quad._slabs(g, rules, 0, _NOT_FINITE):
-        for i, fit in enumerate(fits):
-            t0 = time.perf_counter()
+        for fit, parts in zip(fits, sums):
             with np.errstate(over="ignore"):
                 if fit is None:
                     sq = values**2
@@ -202,16 +191,12 @@ def _square_errors(g, rules, fits):
                         approx = np.tensordot(approx, mat, axes=([0], [1]))
                     # approx is a fresh array: reuse it for the residual and its square
                     sq = np.square(np.subtract(values, approx, out=approx), out=approx)
-            sums[i].append(quad._contract_trailing(sq, rules))
-            seconds[i] += time.perf_counter() - t0
-    integrals = []
-    for i, fit in enumerate(fits):
-        t0 = time.perf_counter()
-        integrals.append(float(np.concatenate(sums[i]) @ rules[0].weights))
-        seconds[i] += time.perf_counter() - t0
-        if fit is None and not math.isfinite(integrals[-1]):
+            parts.append(quad._contract_trailing(sq, rules))
+    integrals = [float(np.concatenate(parts) @ rules[0].weights) for parts in sums]
+    for fit, integral in zip(fits, integrals):
+        if fit is None and not math.isfinite(integral):
             raise ValueError("integral of g^2 is not finite; g is not square-integrable here")
-    return integrals, seconds
+    return integrals
 
 
 def _se(square_error):
@@ -236,8 +221,8 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
     bases = _bases(germs, degrees, n_nodes)
     rules = [build_rule(d, n_nodes) for d in germs]
     mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
-    (coeff_tensor,), _ = _project(g, rules, [mats])
-    (_, square_error), _ = _square_errors(g, rules, [None, (coeff_tensor, mats)])
+    (coeff_tensor,) = _project(g, rules, [mats])
+    _, square_error = _square_errors(g, rules, [None, (coeff_tensor, mats)])
     return PceExpansion(germs, bases, D, coeff_tensor.reshape(-1), _se(square_error))
 
 
@@ -264,7 +249,7 @@ def error_se(expansion, g, n_nodes=DEFAULT_NODES):
     rules = [build_rule(d, n_nodes) for d in expansion.germs]
     mats = [b.eval_matrix(r.nodes) for b, r in zip(expansion.bases, rules)]
     shape = tuple(deg + 1 for deg in expansion.D.degrees)
-    (square_error,), _ = _square_errors(g, rules, [(expansion.coeffs.reshape(shape), mats)])
+    (square_error,) = _square_errors(g, rules, [(expansion.coeffs.reshape(shape), mats)])
     return _se(square_error)
 
 
@@ -315,10 +300,10 @@ class LagrangeConditional:
     Holds polynomials P_1 .. P_N (one per iteration); the combined estimator
     sum_n P_n * prod_{j != n} (c - j) / (n - j) hits P_n exactly when the
     counter c equals n.  evaluate() uses the product form of the selector to
-    keep that exactness; as_multipoly() expands everything into monomials of
-    the counter up to degree N - 1, whose terms cancel in floating point
-    once N passes about 12.  The loop engine therefore applies one step map
-    per iteration instead (engine.lagrange_schedule).
+    keep that exactness; expanded into monomials of the counter, its terms
+    would cancel in floating point once N passes about 12, so the loop
+    engine applies one step map per iteration instead
+    (engine.lagrange_schedule).
     """
 
     def __init__(self, polys):
@@ -350,22 +335,6 @@ class LagrangeConditional:
             if s != 0.0:
                 total += s * p.evaluate(germ_values)
         return total
-
-    def as_multipoly(self, counter_var, total_arity, germ_map):
-        """Expanded polynomial over (counter, germs) in a larger variable space.
-
-        germ_map[i] gives the index, in the target space, of estimator
-        variable i; counter_var is the index of the loop counter.
-        """
-        combined = MultiPoly(total_arity)
-        c = MultiPoly.variable(total_arity, counter_var)
-        for n, p in enumerate(self.polys, start=1):
-            sel = MultiPoly.constant(total_arity, 1.0)
-            for j in range(1, self.N + 1):
-                if j != n:
-                    sel = sel * ((c - float(j)) * (1.0 / (n - j)))
-            combined = combined + sel * p.extend_arity(total_arity, germ_map)
-        return combined
 
 
 def lagrange_conditional(estimators):

@@ -265,23 +265,6 @@ class MultiPoly:
                 _accumulate_product(out, grouped[k], powers[k].terms)
         return MultiPoly._pruned(self.arity, out)
 
-    def extend_arity(self, new_arity, mapping=None):
-        """Re-embed into `new_arity` variables.
-
-        mapping[i] gives the new index of old variable i; identity when
-        omitted.
-        """
-        if mapping is None:
-            mapping = list(range(self.arity))
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * new_arity
-            for old, k in enumerate(e):
-                if k:
-                    ne[mapping[old]] += k
-            terms[tuple(ne)] = terms.get(tuple(ne), 0.0) + c
-        return MultiPoly(new_arity, terms)
-
     # -- rendering ---------------------------------------------------------
 
     def render(self, names=None, digits=5):

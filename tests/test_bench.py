@@ -1,5 +1,6 @@
-"""The table2 runner against the per-cell expansion path it replaced, and
-the library names the traced benchmark run wraps."""
+"""The table2 runner against the per-cell expansion path it replaced: the
+same errors bit for bit from one basis per germ and slab-streamed grids.
+Also the library names the traced benchmark run wraps."""
 
 import importlib.util
 from collections import OrderedDict
@@ -28,6 +29,17 @@ def test_table2_errors_match_the_per_cell_path_bitwise():
             e = expand(row.fn, germs, (deg,) * len(germs), n_nodes=64)
             want.append(error_se(e, row.fn, n_nodes=96).hex())
     assert got == want
+
+
+def test_table2_builds_one_basis_per_germ(monkeypatch):
+    # a lower degree's basis is the leading part of the row's top-degree one
+    degrees = []
+    real = pce.gram_schmidt
+    monkeypatch.setattr(pce, "gram_schmidt", lambda density, max_degree, *a:
+                        degrees.append(max_degree) or real(density, max_degree, *a))
+    run_table2()
+    assert degrees == [max(row.degrees) for row in TABLE2_ROWS for _ in row.germs]
+    assert len(degrees) == 10
 
 
 def test_table2_assembles_no_estimator(monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -88,6 +89,14 @@ def test_moments_output_is_byte_deterministic(tmp_path, capsys):
     for out in (a, b):
         code, _, _ = run(["moments", TURNING, "--n", "10", "--degrees", "5",
                           "--target", "x", "--out", str(out)], capsys)
+        assert code == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_table2_output_is_byte_deterministic(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        code, _, _ = run(["table2", "--out", str(out)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -348,6 +357,26 @@ def test_bench_exits_skipped_only_when_every_suite_is(capsys, monkeypatch):
     assert code == 2
 
 
+def test_bench_fails_a_row_outside_its_tolerance(capsys, monkeypatch):
+    argv = ["bench", "--no-sim", "turning-vehicle", "appendix-b"]
+    _, want, _ = run(argv, capsys)
+    b = cli.bench_mod.BENCHMARKS["turning-vehicle"]
+    moved = {**b.reference, 3: b.reference[3] + 0.5 * b.tolerance,
+             5: b.reference[5] + 2.0 * b.tolerance}
+    monkeypatch.setitem(cli.bench_mod.BENCHMARKS, "turning-vehicle",
+                        dataclasses.replace(b, reference=moved))
+    rep = cli.bench_mod.run_benchmark("turning-vehicle", with_sim=False)
+    assert rep["status"] == "FAIL"
+    assert [r["status"] for r in rep["rows"]] == ["ok", "FAIL", "ok"]
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    got, want = out.splitlines(), want.splitlines()
+    assert [line.split(",")[7] for line in got[1:4]] == ["ok", "FAIL", "ok"]
+    # the rows whose reference did not move keep their bytes
+    assert [line for i, line in enumerate(got) if i not in (1, 2)] == \
+        [line for i, line in enumerate(want) if i not in (1, 2)]
+
+
 @pytest.mark.parametrize("argv, option", [
     (["moments", TURNING, "--n", "-1"], "--n"),
     (["simulate", TURNING, "--n", "-1"], "--n"),
@@ -393,6 +422,16 @@ def test_bench_vehicle_matches_references(capsys):
         assert fields[7] == "ok"
         assert abs(float(fields[6])) < 1e-5  # rel_dev against the reference
     assert [line.split(",")[3] for line in lines[1:]] == ["3", "5", "9"]
+
+
+def test_table2_json_report(capsys):
+    code, out, _ = run(["table2", "--format", "json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["timings"]["table2_ms"] > 0
+    cells = rep["results"]["rows"]
+    assert len(cells) == 23
+    assert not any("expansion_ms" in cell for cell in cells)
 
 
 def test_table2_csv_shape(capsys):

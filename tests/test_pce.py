@@ -232,16 +232,6 @@ def test_lagrange_conditional_switches_estimators():
         assert lc.evaluate(2.0, (z,)) == pytest.approx(e2.estimator.evaluate((z,)), abs=1e-12)
 
 
-def test_lagrange_as_multipoly_matches_pointwise():
-    germ = Density.normal(0.0, 1.0)
-    ests = [expand(np.sin, germ, (d,)).estimator for d in (2, 3, 4)]
-    lc = lagrange_conditional(ests)
-    m = lc.as_multipoly(counter_var=0, total_arity=2, germ_map={0: 1})
-    for c in (1.0, 2.0, 3.0):
-        for z in (-0.5, 0.2, 1.3):
-            assert m.evaluate((c, z)) == pytest.approx(lc.evaluate(c, (z,)), rel=1e-9, abs=1e-9)
-
-
 def test_expand_rejects_mismatched_degrees():
     with pytest.raises(ValueError):
         expand(np.exp, GOLD_GERMS, (2,))

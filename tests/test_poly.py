@@ -73,15 +73,6 @@ def test_substitute_constant_eliminates_variable():
     assert q.evaluate((99.0, 2.0)) == pytest.approx(3 * 2 + 9)
 
 
-def test_extend_arity_remaps_variables():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    p = x * x - y
-    q = p.extend_arity(4, {0: 2, 1: 3})
-    assert q.arity == 4
-    assert q.evaluate((0.0, 0.0, 5.0, 7.0)) == pytest.approx(25 - 7)
-
-
 def test_render_style():
     x = MultiPoly.variable(1, 0)
     p = 10.0 * x - MultiPoly.constant(1, 20.0)
