@@ -17,7 +17,6 @@ requested work was skipped.
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -82,6 +81,8 @@ def _json_default(o):
 
 
 def _digest(data):
+    import hashlib  # here, off the import path of runs that print no digest
+
     if isinstance(data, str):
         data = data.encode()
     return hashlib.sha256(data).hexdigest()[:16]
@@ -363,10 +364,10 @@ def _bench_csv_rows(rep):
     if rep["suite"] == "appendix-b":
         rows = [(rep["benchmark"], f"c_{r['j'] + 1}", None,
                  " ".join(map(str, r["degree_row"])), r["coefficient"],
-                 r["reference"], r["abs_dev"], "ok") for r in rep["rows"]]
+                 r["reference"], r["abs_dev"], r["status"]) for r in rep["rows"]]
         se = rep["se"]
         rows.append((rep["benchmark"], "se", None, "", se["value"],
-                     se["reference"], se["rel_dev"], "ok"))
+                     se["reference"], se["rel_dev"], se["status"]))
         return rows
     sim = rep.get("sim", {}).get("value")
     out = []

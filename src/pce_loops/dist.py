@@ -9,6 +9,11 @@ computed once by quadrature at construction time.
 Parameter conventions: ``sigma`` is always a standard deviation, gamma uses
 ``k`` (shape) and ``theta`` (scale).  An unbounded Normal is integrated over
 mu +- 10 sigma, which loses less than 1e-22 of its mass.
+
+The Gauss-rule kernel lives here too, below quad, so that the composite
+Gauss-Legendre panels every quadrature here uses are built by the same
+kernel as quad's rules: a rule from the first n rows of an orthonormal
+recurrence (_golub_welsch), and _values, the recurrence run on points.
 """
 
 import functools
@@ -323,12 +328,57 @@ def _double_factorial(n):
     return out
 
 
+# -- Gauss rules from a three-term recurrence ------------------------------
+
+
+def _values(alphas, offdiag, x):
+    """[p_0(x), ..., p_d(x)] for d = len(alphas) - 1, by the orthonormal
+    recurrence b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1}, p_0 = 1, with
+    a_j = alphas[j] and b_{j+1} = offdiag[j]."""
+    x = np.asarray(x, dtype=float)
+    p = [np.ones_like(x)]
+    for j in range(len(alphas) - 1):
+        r = (x - alphas[j]) * p[j]
+        if j:
+            r -= offdiag[j - 1] * p[j - 1]
+        p.append(r / offdiag[j])
+    return p
+
+
+def _golub_welsch(alphas, offdiag):
+    """(nodes, weights) of the n-point Gauss rule of the probability measure
+    whose first n recurrence rows are (alphas, offdiag); the weights sum to 1.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub and Welsch,
+    Math. Comp. 1969), the weights the Christoffel numbers
+    1 / sum_{j<n} p_j(node)^2 from the same recurrence (Gautschi 2004), which
+    stay accurate relative to their size where squared eigenvector
+    components carry absolute error of order eps^2 and tiny tail weights are
+    noise.
+    """
+    n = len(alphas)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[::n + 1] = alphas
+    jacobi.flat[n::n + 1] = offdiag  # eigvalsh reads the lower triangle
+    nodes = np.linalg.eigvalsh(jacobi)
+    weights = 1.0 / sum(p * p for p in _values(alphas, offdiag, nodes))
+    return nodes, weights / weights.sum()
+
+
+def _legendre_rows(n):
+    """First n recurrence rows of U(-1, 1), Legendre's in closed form:
+    a_j = 0, b_j = j / sqrt(4 j^2 - 1)."""
+    j = np.arange(1.0, n)
+    return np.zeros(n), j / np.sqrt(4.0 * j * j - 1.0)
+
+
 @functools.cache
 def _panel_rule():
-    """The 24-node Gauss-Legendre rule on [-1, 1] that every panel of
-    _panels uses, built on first use: building it at import would
-    load numpy.polynomial in processes that never integrate."""
-    return np.polynomial.legendre.leggauss(24)
+    """The 24-node Gauss-Legendre rule on [-1, 1], weights summing to 2,
+    that every panel of _panels uses: the Gauss kernel on Legendre's rows,
+    built on first use."""
+    nodes, weights = _golub_welsch(*_legendre_rows(24))
+    return nodes, 2.0 * weights
 
 
 def _panels(a, b, panels):

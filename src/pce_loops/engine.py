@@ -23,7 +23,6 @@ before they are substituted.
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -810,6 +809,9 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
     jobs = list(zip(sizes, children))
     workers = _thread_count(threads)
     if workers > 1 and len(jobs) > 1:
+        # imported here, off the import path of processes that never simulate
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, jobs))
     else:

@@ -3,10 +3,11 @@
 The basis for a density F is the sequence p_0, p_1, ... with
 E[p_i(X) p_j(X)] = delta_ij and deg p_i = i, given by the three-term
 recurrence b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1}, p_0 = 1, whose rows
-quad computes per density (Stieltjes).  Run on points, it gives basis values,
-stable at high degree and for narrow densities; run on coefficient rows, the
-raw-x forms that get printed and assembled into estimators.  Each b_j > 0,
-so every leading coefficient is positive.
+quad computes per density (Stieltjes, or Legendre's closed form for a
+Uniform).  Run on points (dist._values, which quad's Gauss kernel shares),
+it gives basis values, stable at high degree and for narrow densities; run
+on coefficient rows, the raw-x forms that get printed and assembled into
+estimators.  Each b_j > 0, so every leading coefficient is positive.
 """
 
 import functools
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from .dist import _values
 from .poly import UniPoly
 from .quad import DEFAULT_NODES, _rows, build_rule
 
@@ -61,18 +63,6 @@ class OrthonormalBasis:
             f"OrthonormalBasis({self.density!r}, degree={self.max_degree}, "
             f"gram_residual={self.gram_residual:.2e})"
         )
-
-
-def _values(alphas, offdiag, x):
-    """[p_0(x), ..., p_d(x)] for d = len(alphas) - 1, by the recurrence."""
-    x = np.asarray(x, dtype=float)
-    p = [np.ones_like(x)]
-    for j in range(len(alphas) - 1):
-        r = (x - alphas[j]) * p[j]
-        if j:
-            r -= offdiag[j - 1] * p[j - 1]
-        p.append(r / offdiag[j])
-    return p
 
 
 def _raw_polys(alphas, offdiag):

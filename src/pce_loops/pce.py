@@ -7,10 +7,10 @@ coefficients are tensor-product quadrature integrals, the estimator is the
 assembled multivariate polynomial (built on first read, since callers that
 need only coefficients or errors never read it), and se is the L2 norm of
 the residual under the joint density.  The function is evaluated on the
-tensor grid in slabs of at most quad._SLAB_POINTS points (quad._slabs), once
-for the coefficients and once for the residual, so memory does not grow
-with the grid: the projection takes slabs along the last germ axis and
-contracts the others per slab, the residual takes slabs along the first.
+tensor grid in slabs of at most quad._SLAB_POINTS points (quad._slabs), so
+memory does not grow with the grid: the projection takes slabs along the
+last germ axis and contracts the others per slab, the residual takes slabs
+along the first.  A grid of one slab is evaluated once for both passes.
 Also here: the normal-reference error bound and the paper's
 iteration-conditioned Lagrange estimator.
 """
@@ -136,19 +136,31 @@ def _bases(germs, degrees, n_nodes):
 _NOT_FINITE = "function is not finite at germ point {point}"
 
 
-def _project(g, rules, mat_sets):
+def _evaluations(g, rules):
+    """g on the tensor grid of rules, as (lo, values) slabs along the last
+    germ axis for _project and along the first for _square_errors.  A grid
+    of at most quad._SLAB_POINTS points is one slab along either axis, so g
+    is evaluated once and both passes read the same array; a larger grid is
+    evaluated lazily, once per pass that is run."""
+    if math.prod(len(r) for r in rules) <= quad._SLAB_POINTS:
+        whole = list(quad._slabs(g, rules, 0, _NOT_FINITE))
+        return whole, whole
+    return quad._slabs(g, rules, -1, _NOT_FINITE), quad._slabs(g, rules, 0, _NOT_FINITE)
+
+
+def _project(slabs, rules, mat_sets):
     """Coefficient tensors, one per entry of mat_sets, each entry holding the
     value matrices of one basis per germ on the rules' nodes.
 
     Axis i of a tensor runs over degrees 0 .. its basis's degree, so its
-    row-major order is the degree-matrix order.  g is evaluated once, in
-    slabs along the last germ axis; each slab is contracted with the
-    weighted basis matrices of axes 0 .. k-2 in turn, and the partials,
-    joined end to end along the last axis, with the last one.
+    row-major order is the degree-matrix order.  slabs holds the function's
+    values along the last germ axis (_evaluations); each slab is contracted
+    with the weighted basis matrices of axes 0 .. k-2 in turn, and the
+    partials, joined end to end along the last axis, with the last one.
     """
     weighted = [[r.weights[:, None] * mat for mat, r in zip(mats, rules)] for mats in mat_sets]
     partials = [[] for _ in mat_sets]
-    for _, values in quad._slabs(g, rules, -1, _NOT_FINITE):
+    for _, values in slabs:
         for mats, parts in zip(weighted, partials):
             partial = values
             for mat in mats[:-1]:
@@ -165,7 +177,7 @@ def _project(g, rules, mat_sets):
     return tensors
 
 
-def _square_errors(g, rules, fits):
+def _square_errors(slabs, rules, fits):
     """int (g - ghat)^2 dF on the tensor grid of rules for each fit, a fit
     being (coefficient tensor, basis value matrices on the rules' nodes),
     with ghat evaluated through the matrices (exact and stable, unlike raw
@@ -173,12 +185,12 @@ def _square_errors(g, rules, fits):
     int g^2 dF, is the numeric stand-in for the L2 precondition on finite
     values, and ValueError is raised unless it is finite.
 
-    g is evaluated once, in slabs along axis 0; each slab's squares are
-    summed over the trailing axes, last first, and the sums, joined end to
-    end, over axis 0.
+    slabs holds g's values along axis 0 (_evaluations); each slab's squares
+    are summed over the trailing axes, last first, and the sums, joined end
+    to end, over axis 0.
     """
     sums = [[] for _ in fits]
-    for lo, values in quad._slabs(g, rules, 0, _NOT_FINITE):
+    for lo, values in slabs:
         for fit, parts in zip(fits, sums):
             with np.errstate(over="ignore"):
                 if fit is None:
@@ -221,8 +233,9 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
     bases = _bases(germs, degrees, n_nodes)
     rules = [build_rule(d, n_nodes) for d in germs]
     mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
-    (coeff_tensor,) = _project(g, rules, [mats])
-    _, square_error = _square_errors(g, rules, [None, (coeff_tensor, mats)])
+    by_last, by_first = _evaluations(g, rules)
+    (coeff_tensor,) = _project(by_last, rules, [mats])
+    _, square_error = _square_errors(by_first, rules, [None, (coeff_tensor, mats)])
     return PceExpansion(germs, bases, D, coeff_tensor.reshape(-1), _se(square_error))
 
 
@@ -249,7 +262,8 @@ def error_se(expansion, g, n_nodes=DEFAULT_NODES):
     rules = [build_rule(d, n_nodes) for d in expansion.germs]
     mats = [b.eval_matrix(r.nodes) for b, r in zip(expansion.bases, rules)]
     shape = tuple(deg + 1 for deg in expansion.D.degrees)
-    (square_error,) = _square_errors(g, rules, [(expansion.coeffs.reshape(shape), mats)])
+    (square_error,) = _square_errors(_evaluations(g, rules)[1], rules,
+                                     [(expansion.coeffs.reshape(shape), mats)])
     return _se(square_error)
 
 

@@ -4,18 +4,23 @@ three-term recurrence.
 A discretized Stieltjes procedure over a fine composite Gauss-Legendre
 backbone (pdf folded into the backbone weights) gives the recurrence rows;
 orthopoly builds bases from them (Gautschi 2004, section 2.2).  build_rule
-cuts an n-node rule, exact to degree 2n - 1, from the first n rows by the
-Jacobi matrix eigendecomposition (Golub-Welsch).  Rows and rules of recent
-densities are memoized: Stieltjes runs row by row, so the first n rows of a
-longer run, and the rule cut from them, are bitwise those of a run to n.
-Only the standard members N(0, 1) (on +-10) and U(-1, 1) of the
-location-scale families, and the other families' densities, get a Stieltjes
-run and eigendecompositions.  Any other Normal or Uniform is the law of
-loc + scale*Z for Z its family's standard member (dist.location_scale), and
-its memo entry is filled from the standard's: alphas = loc + scale*alphas_Z,
-offdiag = scale*offdiag_Z, nodes = loc + scale*nodes_Z clipped to the
-support, and the weights are the standard rule's own array.  The map is
-also better conditioned than a run on an off-centre support.
+cuts an n-node rule, exact to degree 2n - 1, from the first n rows with one
+kernel, dist._golub_welsch: the nodes are the Jacobi matrix's eigenvalues
+(Golub-Welsch, no eigenvectors) and the weights the Christoffel numbers
+1 / sum_{j<n} p_j(node)^2 from the recurrence, which keep tiny tail weights
+accurate.  Rows and rules of recent densities are memoized: Stieltjes runs
+row by row, so the first n rows of a longer run, and the rule cut from
+them, are bitwise those of a run to n.  Only the standard members N(0, 1)
+(on +-10) and U(-1, 1) of the location-scale families, and the other
+families' densities, get rows and rules of their own; U(-1, 1) takes
+Legendre's rows in closed form, so N(0, 1), TruncNormal and TruncGamma are
+the densities that get a Stieltjes run.  Any other Normal or Uniform is the
+law of loc + scale*Z for Z its family's standard member
+(dist.location_scale), and its memo entry is filled from the standard's:
+alphas = loc + scale*alphas_Z, offdiag = scale*offdiag_Z, nodes = loc +
+scale*nodes_Z clipped to the support, and the weights are the standard
+rule's own array.  The map is also better conditioned than a run on an
+off-centre support.
 integrate tensorizes univariate rules for multivariate expectations.  Every
 pass over a tensor grid, here and in pce, evaluates the integrand in slabs
 of at most _SLAB_POINTS points (_slabs): runs of consecutive nodes along the
@@ -31,7 +36,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .dist import Density, _panels, location_scale
+from .dist import Density, _golub_welsch, _legendre_rows, _panels, location_scale
 
 __all__ = ["QuadratureRule", "build_rule", "integrate", "convergence_report", "DEFAULT_NODES"]
 
@@ -96,26 +101,32 @@ def _backbone(density):
 def _recurrence_coefficients(pts, mass, n):
     """First n rows (alpha_j, sqrt(beta_{j+1})) of the Jacobi matrix.
 
-    Discretized Stieltjes with explicitly normalized polynomial vectors; the
-    orthonormal three-term recurrence keeps values O(1) so the procedure is
-    stable far past the degrees used here.
+    Discretized Stieltjes on the vectors u_j = sqrt(mass) * p_j(pts), so
+    that alpha_j = u_j . (x u_j) and each norm is a plain dot product; the
+    orthonormal recurrence keeps values O(1), so the procedure is stable far
+    past the degrees used here.
     """
     alphas = np.empty(n)
     offdiag = np.empty(max(n - 1, 0))
-    q_prev = np.zeros_like(pts)
-    q_cur = np.ones_like(pts)  # already normalized: sum(mass) == 1
+    u_prev = None
+    u = np.sqrt(mass)  # p_0 = 1 has unit norm: sum(mass) == 1
     for j in range(n):
-        alphas[j] = np.dot(mass, pts * q_cur * q_cur)
-        r = (pts - alphas[j]) * q_cur - (offdiag[j - 1] * q_prev if j > 0 else 0.0)
-        norm = np.sqrt(np.dot(mass, r * r))
-        if j < n - 1:
-            if norm <= 0 or not np.isfinite(norm):
-                raise ValueError(
-                    f"measure collapsed at degree {j + 1}; "
-                    "backbone resolution too low for this node count"
-                )
-            offdiag[j] = norm
-            q_prev, q_cur = q_cur, r / norm
+        r = pts * u
+        alphas[j] = np.dot(u, r)
+        if j == n - 1:
+            break
+        r -= alphas[j] * u
+        if j:
+            r -= offdiag[j - 1] * u_prev
+        norm = math.sqrt(np.dot(r, r))
+        if not 0 < norm < math.inf:
+            raise ValueError(
+                f"measure collapsed at degree {j + 1}; "
+                "backbone resolution too low for this node count"
+            )
+        offdiag[j] = norm
+        r /= norm
+        u_prev, u = u, r
     return alphas, offdiag
 
 
@@ -128,7 +139,9 @@ def _memo_entry(density, n_rows):
         _memo.popitem(last=False)
     if len(entry[0]) < n_rows:
         mapped = _mapped(density)
-        if mapped is None:
+        if mapped is None and density.family == "Uniform":
+            entry[:2] = _legendre_rows(n_rows)  # U(-1, 1)
+        elif mapped is None:
             entry[:2] = _recurrence_coefficients(*_backbone(density), n_rows)
         else:
             standard, loc, scale = mapped
@@ -157,17 +170,6 @@ def _rows(density, n):
     with _memo_lock:
         alphas, offdiag, _ = _memo_entry(density, n)
     return alphas[:n], offdiag[: n - 1]
-
-
-def _golub_welsch(alphas, offdiag):
-    """(nodes, weights) of the Gauss rule whose Jacobi matrix has diagonal
-    alphas and off-diagonal offdiag; the weights sum to 1."""
-    jacobi = np.diag(alphas)
-    if len(offdiag):
-        jacobi += np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    eigvals, eigvecs = np.linalg.eigh(jacobi)
-    weights = eigvecs[0] ** 2
-    return eigvals, weights / weights.sum()
 
 
 def _rule(density, n_nodes):

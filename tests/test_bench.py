@@ -58,14 +58,16 @@ def test_table2_runs_stieltjes_once_per_density(monkeypatch):
     monkeypatch.setattr(quad, "_recurrence_coefficients",
                         lambda *a: runs.append(a) or real(*a))
     run_table2()
-    # Normal and Uniform germs are mapped from their family's standard member
+    # Normal and Uniform germs are mapped from their family's standard
+    # member, and U(-1, 1) takes Legendre's rows in closed form, no run
     standards = set()
     for row in TABLE2_ROWS:
         for spec in row.germs:
             d = Density.of(*spec)
             mapped = location_scale(d)
             standards.add(quad._key(mapped[0] if mapped else d))
-    assert len(runs) == len(standards) == 5
+    assert quad._key(Density.uniform(-1.0, 1.0)) in standards
+    assert len(runs) == len(standards) - 1 == 4
 
 
 def test_expansion_layer_builds_no_rule_for_a_gram_check(monkeypatch):
@@ -80,7 +82,7 @@ def test_expansion_layer_builds_no_rule_for_a_gram_check(monkeypatch):
                         lambda alphas, offdiag: eigs.append(len(alphas))
                         or real_gw(alphas, offdiag))
     run_table2()
-    assert runs == [96] * 5
+    assert runs == [96] * 4
     assert sorted(eigs) == [64] * 5 + [96] * 5
     del runs[:], eigs[:]
     bench.run_appendix_b()

@@ -377,6 +377,25 @@ def test_bench_fails_a_row_outside_its_tolerance(capsys, monkeypatch):
         [line for i, line in enumerate(want) if i not in (1, 2)]
 
 
+def test_bench_fails_an_appendix_b_coefficient_outside_its_tolerance(capsys, monkeypatch):
+    argv = ["bench", "appendix-b"]
+    code, want, _ = run(argv, capsys)
+    assert code == 0
+    b = cli.bench_mod.APPENDIX_B
+    coeffs = list(b["coeffs"])
+    coeffs[4] += 2.0 * b["coeff_abs_tol"]
+    monkeypatch.setitem(b, "coeffs", tuple(coeffs))
+    rep = cli.bench_mod.run_appendix_b()
+    assert rep["status"] == "FAIL" and rep["se"]["status"] == "ok"
+    assert [r["status"] for r in rep["rows"]] == ["ok"] * 4 + ["FAIL"] + ["ok"] * 4
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    got, want = out.splitlines(), want.splitlines()
+    assert [line.split(",")[-1] for line in got[1:]] == ["ok"] * 4 + ["FAIL"] + ["ok"] * 5
+    # the rows whose reference did not move keep their bytes
+    assert got[:5] + got[6:] == want[:5] + want[6:]
+
+
 @pytest.mark.parametrize("argv, option", [
     (["moments", TURNING, "--n", "-1"], "--n"),
     (["simulate", TURNING, "--n", "-1"], "--n"),

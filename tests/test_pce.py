@@ -333,6 +333,23 @@ def test_expand_and_error_se_do_not_depend_on_the_slab_size(monkeypatch, slab_po
     assert agree(got[1], want[1]) and agree(got[2], want[2])
 
 
+def test_a_one_slab_grid_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return np.cos(x)
+    want = expand(np.cos, Density.normal(0.0, 1.0), (9,))
+    got = expand(g, Density.normal(0.0, 1.0), (9,))
+    assert calls == [(64,)]
+    assert got.coeffs.tobytes() == want.coeffs.tobytes() and got.se == want.se
+    # a grid of more than one slab is evaluated once per pass
+    monkeypatch.setattr(quad, "_SLAB_POINTS", 64)
+    del calls[:]
+    expand(lambda x, y: g(x) * y, RandomVector([Density.normal(0.0, 1.0)] * 2), (2, 2))
+    assert len(calls) == 2 * 64
+
+
 def test_a_non_finite_point_in_a_later_slab_is_named(monkeypatch):
     monkeypatch.setattr(quad, "_SLAB_POINTS", 1)
     nodes = [build_rule(d, 24).nodes for d in THREE_GERMS]
