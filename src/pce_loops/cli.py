@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .dist import RandomVector, density_from_dict
-from .engine import polynomialize, propagate, simulate
+from .engine import parse_monomial, polynomialize, propagate, simulate
 from .lang import (
     NUMPY_CALLS, ParseError, eval_expr, parse_expression, parse_file, render, validate_conditions,
 )
@@ -241,18 +241,28 @@ def cmd_parse(args):
     return EXIT_OK
 
 
+def _parse_targets(program, targets):
+    """The --target monomials as exponent tuples over the state variables."""
+    state_vars = [v for v in program.state_vars if v not in set(program.draw_vars)]
+    try:
+        return [parse_monomial(t, state_vars) for t in targets]
+    except ValueError as e:
+        raise UsageError(f"--target: {e}")
+
+
 def cmd_moments(args):
     program = parse_file(args.file, constants={"tau": args.tau})
     if not args.target:
         args.target = [v for v in program.state_vars
                        if v not in set(program.draw_vars)]
+    targets = _parse_targets(program, args.target)
     degrees = _parse_degrees(args.degrees)
     if len(degrees) != 1:
         raise UsageError("moments takes a single expansion degree")
     t0 = time.perf_counter()
     pp = polynomialize(program, degree=degrees[0], n_nodes=args.quad_nodes)
     t1 = time.perf_counter()
-    table = propagate(pp, args.target, args.n)
+    table = propagate(pp, targets, args.n)
     t2 = time.perf_counter()
 
     provenance = [dict(p) for p in pp.provenance]
@@ -292,9 +302,10 @@ def _maybe_bound(prov):
 def cmd_simulate(args):
     program = parse_file(args.file, constants={"tau": args.tau})
     targets = args.target or None
+    parsed = _parse_targets(program, targets) if targets else None
     t0 = time.perf_counter()
     table = simulate(program, args.n, samples=args.samples, seed=args.seed,
-                     targets=targets, threads=args.threads)
+                     targets=parsed, threads=args.threads)
     ms = 1e3 * (time.perf_counter() - t0)
     rows = table.rows()
     report = RunReport(

@@ -17,7 +17,10 @@ iteration are obtained by substituting updates in reverse body order and
 integrating out each fresh draw with the raw moments of its distribution
 (draws are independent of everything sampled before them).  A draw that
 only one update reads is integrated out of that update's powers instead,
-before they are substituted.
+before they are substituted.  Those powers depend only on the update and
+its folded draws, so one bounded process-wide memo holds them, keyed by
+content: every query, program and schedule body with the same update
+builds each power once.
 """
 
 import os
@@ -64,6 +67,13 @@ _SWEEP_ROWS = 64
 _MEMO_EXPANSIONS = 64
 _expansions = OrderedDict()
 _expansions_lock = threading.Lock()
+
+# Update powers in the memo of _update_powers, which maps an update's terms
+# and the draws folded into it to their _Powers; the least recently used
+# goes first.  One vehicle-suite pass fills 18 entries.
+_MEMO_POWERS = 64
+_powers_memo = OrderedDict()
+_powers_lock = threading.Lock()
 
 # Reference germ used for accumulating-argument call sites when the caller
 # does not configure one.
@@ -147,17 +157,20 @@ def format_monomial(m, variables):
 
 
 def parse_monomial(text, variables):
-    """Parse "x", "x^2" or "x^2*y" into an exponent tuple over variables."""
+    """Parse "x", "x^2" or "x^2*y" into an exponent tuple over variables;
+    a power must be a nonnegative integer."""
     m = [0] * len(variables)
     text = text.strip()
     if text in ("1", ""):
         return tuple(m)
     for factor in text.split("*"):
-        name, _, power = factor.strip().partition("^")
-        name = name.strip()
+        name, caret, power = factor.strip().partition("^")
+        name, power = name.strip(), power.strip()
         if name not in variables:
             raise ValueError(f"unknown variable {name!r} (have {', '.join(variables)})")
-        m[variables.index(name)] += int(power) if power else 1
+        if caret and not power.isdecimal():
+            raise ValueError(f"power in {factor.strip()!r} is not a nonnegative integer")
+        m[variables.index(name)] += int(power) if caret else 1
     return tuple(m)
 
 
@@ -385,7 +398,11 @@ class _Powers:
     up, and fields lists the fields they hold.  Each P^k is one MultiPoly
     product of the one below and P; the folded draws are integrated out of
     all powers an upto call builds at once, with the power as the row
-    field, so that call fetches each raw moment once."""
+    field, so that call fetches each raw moment once.
+
+    Instances live in a process-wide memo (_update_powers) that threads
+    share, so upto extends under a lock.  It only appends: the powers a
+    caller has had built keep their columns and values."""
 
     def __init__(self, poly, fold):
         self.poly = poly
@@ -395,34 +412,36 @@ class _Powers:
         self.coefs = np.ones(1)
         self.first, self.size = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
         self._last = None
+        self._lock = threading.Lock()
 
     def upto(self, top):
         """self, with every power up to the top-th built."""
-        built = len(self.size)
-        if built > top:
+        with self._lock:
+            built = len(self.size)
+            if built > top:
+                return self
+            exps, coefs, power = [], [], []
+            for k in range(built, top + 1):
+                self._last = self._last * self.poly if self._last else self.poly
+                exps.extend(self._last.terms)
+                coefs.extend(self._last.terms.values())
+                power.extend([k] * len(self._last.terms))
+            arity = self.poly.arity
+            table = np.empty((arity + 1, len(coefs)), dtype=np.int64)
+            table[:-1] = np.array(exps, dtype=np.int64).reshape(-1, arity).T
+            table[-1] = power
+            coefs = np.array(coefs)
+            if self.fold:
+                for idx, density in self.fold:
+                    table, coefs = _integrate(table, coefs, idx, density)
+                table, coefs = _combine(table, coefs)
+            sizes = np.bincount(table[-1], minlength=top + 1)[built:]
+            table[-1] = 0
+            self.table = np.concatenate([self.table, table], axis=1)
+            self.coefs = np.concatenate([self.coefs, coefs])
+            self.size = np.concatenate([self.size, sizes])
+            self.first = np.cumsum(self.size) - self.size
             return self
-        exps, coefs, power = [], [], []
-        for k in range(built, top + 1):
-            self._last = self._last * self.poly if self._last else self.poly
-            exps.extend(self._last.terms)
-            coefs.extend(self._last.terms.values())
-            power.extend([k] * len(self._last.terms))
-        arity = self.poly.arity
-        table = np.empty((arity + 1, len(coefs)), dtype=np.int64)
-        table[:-1] = np.array(exps, dtype=np.int64).reshape(-1, arity).T
-        table[-1] = power
-        coefs = np.array(coefs)
-        if self.fold:
-            for idx, density in self.fold:
-                table, coefs = _integrate(table, coefs, idx, density)
-            table, coefs = _combine(table, coefs)
-        sizes = np.bincount(table[-1], minlength=top + 1)[built:]
-        table[-1] = 0
-        self.table = np.concatenate([self.table, table], axis=1)
-        self.coefs = np.concatenate([self.coefs, coefs])
-        self.size = np.concatenate([self.size, sizes])
-        self.first = np.cumsum(self.size) - self.size
-        return self
 
 
 def _substitute(table, coefs, idx, powers):
@@ -500,12 +519,15 @@ def _folds(pp):
     return folds
 
 
-def _steps(pp, memo):
+def _steps(pp):
     """The steps a sweep takes, in reverse body order: ("draw", field,
     density) integrates a draw, ("assign", field, powers) substitutes an
-    update, whose _Powers come from memo, keyed by the update's terms and
-    its folded draws, so that programs sharing an update share its powers.
-    A folded draw takes no step of its own."""
+    update, whose _Powers come from the process-wide memo (_powers_memo),
+    keyed by the update's terms and its folded draws.  So programs built by
+    separate polynomialize calls, the bodies of a schedule and successive
+    queries share the powers of an update they have in common, and each
+    power is built once per process while its entry stays in the memo.  A
+    folded draw takes no step of its own."""
     if pp.schedule:
         raise ValueError(
             "a scheduled program has one step map per iteration; "
@@ -522,12 +544,25 @@ def _steps(pp, memo):
                 steps.append((kind, idx, payload))
             continue
         fold = tuple(folds.get(pos, ()))
-        key = (tuple(payload.terms.items()),
-               tuple((i, d.family, tuple(sorted(d.params.items()))) for i, d in fold))
-        if key not in memo:
-            memo[key] = _Powers(payload, fold)
-        steps.append((kind, idx, memo[key]))
+        steps.append((kind, idx, _update_powers(payload, fold)))
     return steps
+
+
+def _update_powers(poly, fold):
+    """The memoized _Powers of poly with the draws of fold folded in.  The
+    key holds each parameter's type with its value: Uniform(0, 3) and
+    Uniform(0.0, 3.0) differ in the last bit of some raw moments."""
+    key = (poly.arity, tuple(poly.terms.items()),
+           tuple((i, d.family, tuple((name, type(v), v) for name, v in sorted(d.params.items())))
+                 for i, d in fold))
+    with _powers_lock:
+        if key in _powers_memo:
+            _powers_memo.move_to_end(key)
+        else:
+            _powers_memo[key] = _Powers(poly, fold)
+            if len(_powers_memo) > _MEMO_POWERS:
+                _powers_memo.popitem(last=False)
+        return _powers_memo[key]
 
 
 def _sweep(pp, frontier, steps):
@@ -574,18 +609,18 @@ def _sweep(pp, frontier, steps):
 def one_step_expectation(pp, monomial):
     """Expectation of a state monomial after one iteration, as a polynomial
     in the previous iteration's state monomials."""
-    table, coefs = _sweep(pp, [tuple(monomial)], _steps(pp, {}))
+    table, coefs = _sweep(pp, [tuple(monomial)], _steps(pp))
     return MultiPoly._trusted(len(pp.all_vars), dict(zip(map(tuple, table[:-1].T.tolist()),
                                                           coefs.tolist())))
 
 
-def _close(pp, targets, memo):
+def _close(pp, targets):
     """close_monomials' closure in sorted order, and its step map as COO
     triplets (rows, cols, data) over that order.
 
     Monomials are numbered as they are met and swept in that order, which is
     breadth first, _SWEEP_ROWS at a time, all sweeps sharing the update
-    powers in memo (see _steps); a term's row is its sweep's row field plus
+    powers of _steps; a term's row is its sweep's row field plus
     the number of the sweep's first monomial, and its column the number of
     its state exponents, looked up once per distinct exponent column.  Draw
     exponents are zero after a sweep and are dropped with the table.  A
@@ -606,7 +641,7 @@ def _close(pp, targets, memo):
                 seeds.add(tuple(unit))
     monomials = list(seeds)
     number = {m: i for i, m in enumerate(monomials)}
-    steps = _steps(pp, memo)
+    steps = _steps(pp)
     rows, cols, data = [], [], []
     swept = 0
     while swept < len(monomials):
@@ -648,7 +683,7 @@ def close_monomials(pp, targets):
     and the targets' first powers) closed under one-step expectation, and
     each member's one-step expectation as a MultiPoly over all variables
     (draw exponents zero), its terms in the order they were made."""
-    order, (rows, cols, data) = _close(pp, targets, {})
+    order, (rows, cols, data) = _close(pp, targets)
     pad = (0,) * len(pp.draw_vars)
     full = [m + pad for m in order]
     terms = list(zip(map(full.__getitem__, cols.tolist()), data.tolist()))
@@ -659,27 +694,22 @@ def close_monomials(pp, targets):
 
 
 def _initial_moments(pp, monomials):
-    """E[m] at n=0 from the independent initial values (missing inits are 0)."""
+    """E[m] at n=0 from the independent initial values (missing inits are 0).
+
+    Each state variable's raw moments fill a table at the exponents present,
+    with E[v^0] = 1.0, and the monomials multiply their gathered columns in
+    variable order; a factor 1.0 is exact, so each value is the product of
+    its nonzero powers' moments alone."""
     init_value = {i.var: i.value for i in pp.program.inits}
-    k = len(pp.state_vars)
-    per_var = {}
-    out = np.zeros(len(monomials))
-    for r, m in enumerate(monomials):
-        acc = 1.0
-        for i in range(k):
-            p = m[i]
-            if not p:
-                continue
-            v = pp.state_vars[i]
-            key = (v, p)
-            if key not in per_var:
-                val = init_value.get(v, 0.0)
-                if isinstance(val, Density):
-                    per_var[key] = val.raw_moment(p)
-                else:
-                    per_var[key] = float(val) ** p
-            acc *= per_var[key]
-        out[r] = acc
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), len(pp.state_vars))
+    out = np.ones(len(monomials))
+    for v, column in zip(pp.state_vars, exps.T):
+        val = init_value.get(v, 0.0)
+        table = np.ones(int(column.max(initial=0)) + 1)
+        for p in np.flatnonzero(np.bincount(column)).tolist():
+            if p:
+                table[p] = val.raw_moment(p) if isinstance(val, Density) else float(val) ** p
+        out *= table[column]
     return out
 
 
@@ -706,11 +736,11 @@ def propagate(pp, targets, iterations):
     # each body is closed over the closure so far, so bodies that share a
     # support take one sweep each after the first; every body's closure
     # holds the set it was closed over, and the last one is the union
-    order, closed, memo = tgt, [], {}
+    order, closed = tgt, []
     while not closed or any(len(closure) < len(order) for closure, _ in closed):
         closed = []
         for body in bodies:
-            closed.append(_close(body, order, memo))
+            closed.append(_close(body, order))
             order = closed[-1][0]
 
     values = np.empty((iterations + 1, len(order)))

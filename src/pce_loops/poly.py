@@ -121,13 +121,15 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, arity, c):
-        return cls(arity, {(0,) * arity: c})
+        arity, c = int(arity), float(c)
+        return cls._trusted(arity, {(0,) * arity: c} if c != 0.0 else {})
 
     @classmethod
     def variable(cls, arity, i):
+        arity = int(arity)
         e = [0] * arity
         e[i] = 1
-        return cls(arity, {tuple(e): 1.0})
+        return cls._trusted(arity, {tuple(e): 1.0})
 
     # -- ring ops ----------------------------------------------------------
 
@@ -268,9 +270,9 @@ class MultiPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self, names=None, digits=5):
-        """Human-readable form, highest exponents first: "10x - 20"."""
-        if not self.terms:
-            return "0"
+        """Human-readable form, highest exponents first: "10x - 20".  A term
+        whose magnitude prints as 0 at digits is left out, and "0" stands
+        for a polynomial with no term left."""
         if names is None:
             names = [f"x{i+1}" for i in range(self.arity)] if self.arity > 1 else ["x"]
         pieces = []
@@ -279,14 +281,18 @@ class MultiPoly:
             mono = "".join(
                 f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
             )
-            mag = f"{abs(c):.{digits}f}".rstrip("0").rstrip(".")
-            if mag == "":
-                mag = "0"
+            mag = f"{abs(c):.{digits}f}"
+            if "." in mag:
+                mag = mag.rstrip("0").rstrip(".")
+            if mag == "0":
+                continue
             if mono and mag == "1":
                 body = mono
             else:
                 body = f"{mag}{mono}"
             pieces.append(("- " if c < 0 else "+ ") + body)
+        if not pieces:
+            return "0"
         head = pieces[0]
         head = "-" + head[2:] if head.startswith("- ") else head[2:]
         return " ".join([head] + pieces[1:])

@@ -231,6 +231,15 @@ def test_orthopoly_text_golden(capsys):
     assert lines[2].startswith("p2(x) = 70.710")
 
 
+def test_orthopoly_text_leaves_out_noise_sized_coefficients(capsys):
+    code, out, _ = run(["orthopoly", "--dist", '{"family":"Normal","mu":0,"sigma":1}',
+                        "--degree", "3"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[1] == "p1(x) = x"
+    assert lines[3] == "p3(x) = 0.40825x^3 - 1.22474x"
+
+
 def test_orthopoly_rejects_bad_density(capsys):
     code, _, err = run(["orthopoly", "--dist", '{"family": "Cauchy"}',
                         "--degree", "2"], capsys)
@@ -319,6 +328,20 @@ def test_moments_json_provenance(tmp_path, capsys):
     assert prov["se"] > 0
     assert prov["bound"] > 0
     assert rep["config"]["degrees"] == 4
+
+
+@pytest.mark.parametrize("cmd", [["moments"], ["simulate", "--samples", "100"]])
+@pytest.mark.parametrize("target, message", [
+    ("z", "unknown variable 'z'"),
+    ("x^1.5", "power in 'x^1.5'"),
+    ("x^-1", "power in 'x^-1'"),
+])
+def test_bad_target_is_a_usage_error(cmd, target, message, capsys):
+    code, out, err = run(cmd + [TURNING, "--n", "2", "--target", target], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pce-loops: error: --target: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_moments_reference_germ_has_no_bound(capsys):

@@ -4,6 +4,7 @@ rational oracle."""
 import functools
 import math
 import random
+import re
 import sys
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -366,6 +367,47 @@ def test_parse_monomial_round_trip():
                        ("x^2*v", (2, 0, 1)), ("y^3", (0, 3, 0))):
         assert parse_monomial(text, variables) == exps
         assert parse_monomial(format_monomial(exps, variables), variables) == exps
+
+
+@pytest.mark.parametrize("text", ["x^-1", "x^1.5", "x^", "y*x^2.0"])
+def test_parse_monomial_refuses_powers_that_are_not_nonnegative_integers(text):
+    factor = text.split("*")[-1]
+    with pytest.raises(ValueError, match=re.escape(f"power in '{factor}'")):
+        parse_monomial(text, ["x", "y"])
+
+
+def _loop_initial_moments(pp, monomials):
+    """E[m] at n=0 one monomial and one variable at a time, each moment
+    fetched once: the per-monomial loop that _initial_moments replaced."""
+    init_value = {i.var: i.value for i in pp.program.inits}
+    per_var = {}
+    out = np.zeros(len(monomials))
+    for r, m in enumerate(monomials):
+        acc = 1.0
+        for v, p in zip(pp.state_vars, m):
+            if p:
+                if (v, p) not in per_var:
+                    val = init_value.get(v, 0.0)
+                    per_var[v, p] = (val.raw_moment(p) if isinstance(val, Density)
+                                     else float(val) ** p)
+                acc *= per_var[v, p]
+        out[r] = acc
+    return out
+
+
+def test_initial_moments_are_bitwise_the_per_monomial_loop():
+    for name in ("turning.ppl", "turning_trunc.ppl"):
+        pp = polynomialize(parse_file(program_path(name)), degree=9)
+        for target in ("x", "x^4", "x^2*y^2"):
+            order = sorted(close_monomials(pp, [parse_monomial(target, pp.state_vars)])[0])
+            got = engine._initial_moments(pp, order)
+            assert got.tobytes() == _loop_initial_moments(pp, order).tobytes()
+    # a constant, a negative constant and a missing init
+    pp = polynomialize(parse("a = 0.3\nb = -1.7\nwhile true {\n c := a\n a := 0.5*a + c\n"
+                             " b := -b\n}"))
+    order = sorted(close_monomials(pp, [(3, 2, 1)])[0])
+    assert engine._initial_moments(pp, order).tobytes() == \
+        _loop_initial_moments(pp, order).tobytes()
 
 
 def test_degree9_turning_closure_sizes_are_pinned():
@@ -963,3 +1005,93 @@ def test_concurrent_polynomialize_gives_identical_programs(expand_calls):
         want = polynomialize(prog, degree=len(pp.provenance[0]["coeffs"]) - 1)
         assert pp.provenance == want.provenance
         assert _body_terms(pp) == _body_terms(want)
+
+
+# -- update-power memo ---------------------------------------------------------
+
+
+@pytest.fixture
+def powers_built(monkeypatch):
+    """An empty update-power memo, and the list of _Powers built since."""
+    built = []
+
+    class Counted(engine._Powers):
+        def __init__(self, poly, fold):
+            built.append(poly)
+            super().__init__(poly, fold)
+
+    monkeypatch.setattr(engine, "_powers_memo", OrderedDict())
+    monkeypatch.setattr(engine, "_Powers", Counted)
+    return built
+
+
+def _closed_bytes(pp, targets):
+    order, (rows, cols, data) = engine._close(pp, targets)
+    return order, rows.tobytes(), cols.tobytes(), data.tobytes()
+
+
+def test_shared_powers_give_the_closures_of_fresh_ones(powers_built, monkeypatch):
+    """Degrees and targets run in turn, so the memo's entries are extended
+    by later, higher queries, and the psi and v updates, which hold no
+    call, are shared across degrees."""
+    prog = parse_file(program_path("turning.ppl"))
+    queries = [(degree, parse_monomial(target, ["x", "y", "v", "psi"]))
+               for degree in (3, 5, 9, 13) for target in ("x", "x^4", "x^2*y^2")]
+    shared = [_closed_bytes(polynomialize(prog, degree=d), [t]) for d, t in queries]
+    assert len(powers_built) == 10   # x's and y's per degree, psi's and v's once
+    monkeypatch.setattr(engine, "_update_powers", engine._Powers)
+    fresh = [_closed_bytes(polynomialize(prog, degree=d), [t]) for d, t in queries]
+    assert shared == fresh
+
+
+def test_repolynomialized_program_builds_no_powers(powers_built):
+    prog = parse_file(program_path("turning.ppl"))
+    first = propagate(polynomialize(prog, degree=9), ["x^2*y^2"], 20)
+    assert len(powers_built) == 4
+    again = propagate(polynomialize(prog, degree=9), ["x^2*y^2"], 20)
+    assert len(powers_built) == 4
+    assert again.values.tobytes() == first.values.tobytes()
+
+
+def test_concurrent_propagate_matches_a_serial_run(powers_built):
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
+    jobs = ["x", "x^4", "x^2*y^2", "x^2", "y^3", "x*y", "x^2*y^2", "y^4"]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(propagate, pp, [t], 20) for t in jobs]
+            tables = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(powers_built) == 4
+    engine._powers_memo.clear()
+    for t, table in zip(jobs, tables):
+        assert table.values.tobytes() == propagate(pp, [t], 20).values.tobytes()
+
+
+def test_update_power_memo_is_bounded(powers_built, monkeypatch):
+    prog = parse_file(program_path("turning.ppl"))
+    want = [propagate(polynomialize(prog, degree=d), ["x^2*y^2"], 20) for d in (5, 9)]
+    assert len(engine._powers_memo) == 6
+    monkeypatch.setattr(engine, "_MEMO_POWERS", 2)
+    engine._powers_memo.clear()
+    del powers_built[:]
+    for d, table in zip((5, 9), want):
+        got = propagate(polynomialize(prog, degree=d), ["x^2*y^2"], 20)
+        assert got.values.tobytes() == table.values.tobytes()
+        assert len(engine._powers_memo) == 2
+    # each degree's close sweeps four updates with only two entries held,
+    # so every step builds its powers again
+    assert len(powers_built) == 8
+
+
+def test_update_power_memo_tells_integer_from_float_parameters(powers_built):
+    """Uniform(-1, 5) and Uniform(-1.0, 5.0) have different 22nd moments in
+    the last bit, so the update they are folded into keys two entries."""
+    draws = [Density.uniform(-1, 5), Density.uniform(-1.0, 5.0)]
+    assert draws[0].raw_moment(22) != draws[1].raw_moment(22)
+    for w in draws:
+        pp = polynomialize(LoopProgram([Init("x", 0.0)], [DistDraw("w", w), Assign("x", Var("w"))]))
+        assert propagate(pp, [(22,)], 1).value(1, (22,)) == w.raw_moment(22)
+    assert len(powers_built) == 2

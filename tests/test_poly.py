@@ -81,6 +81,28 @@ def test_render_style():
     assert q.render(names=("x",)) == "70.71067x^2 - 282.84271x + 282.13561"
 
 
+def test_render_leaves_out_terms_that_print_as_zero():
+    x = MultiPoly.variable(1, 0)
+    p = 0.5 * x**3 - 3e-17 * x**2 - 1.25 * x + MultiPoly.constant(1, 4e-18)
+    assert p.render(names=("x",)) == "0.5x^3 - 1.25x"
+    assert p.render(names=("x",), digits=17) == "0.5x^3 - 0.00000000000000003x^2 - 1.25x"
+    assert (x * 1e-9 - MultiPoly.constant(1, 2e-7)).render(names=("x",)) == "0"
+    assert (10.0 * x + MultiPoly.constant(1, 0.4)).render(names=("x",), digits=0) == "10x"
+
+
+def test_constant_and_variable_build_what_the_constructor_builds():
+    for arity in (1, 3):
+        for c in (2.5, -1, np.float64(0.25), 0.0, -0.0):
+            got = MultiPoly.constant(arity, c)
+            assert got == MultiPoly(arity, {(0,) * arity: c})
+            assert all(type(v) is float for v in got.terms.values())
+        for i in range(arity):
+            assert MultiPoly.variable(arity, i) == MultiPoly(arity, {
+                tuple(int(j == i) for j in range(arity)): 1.0})
+    assert MultiPoly.constant(2, 0.0).is_zero()
+    assert type(MultiPoly.constant(np.int64(2), 1.0).arity) is int
+
+
 def test_render_multivariate_order():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
