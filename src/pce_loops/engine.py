@@ -20,7 +20,10 @@ only one update reads is integrated out of that update's powers instead,
 before they are substituted.  Those powers depend only on the update and
 its folded draws, so one bounded process-wide memo holds them, keyed by
 content: every query, program and schedule body with the same update
-builds each power once.
+builds each power once.  In the same way a closure and its step map depend
+only on the program's steps and the seed monomials, so a second such memo
+sits in front of _close: a repeated query or schedule body closes nothing
+again, though a query's first closure costs what it did.
 """
 
 import os
@@ -75,6 +78,14 @@ _MEMO_POWERS = 64
 _powers_memo = OrderedDict()
 _powers_lock = threading.Lock()
 
+# Step nonzeros held by the memo of _close, which maps a program's steps and
+# seed monomials to their closure and step map; the least recently used
+# goes first.  One vehicle-suite pass fills 15 entries with 14,879 nonzeros
+# (24 bytes each); the bound is about 6 MiB of arrays.
+_MEMO_STEP_NONZEROS = 250_000
+_closures = OrderedDict()
+_closures_lock = threading.Lock()
+
 # Reference germ used for accumulating-argument call sites when the caller
 # does not configure one.
 DEFAULT_REFERENCE_GERM = ("Normal", 0.0, 1.0)
@@ -102,7 +113,7 @@ class MomentTable:
         return self.values.shape[0] - 1
 
     def column(self, monomial):
-        m = tuple(monomial) if not isinstance(monomial, str) else parse_monomial(monomial, self.vars)
+        m = _monomial(monomial, self.vars)
         if m not in self._index:
             raise KeyError(f"monomial {format_monomial(m, self.vars)} not tracked")
         return self._index[m]
@@ -131,7 +142,7 @@ class MomentTable:
 
     def rows(self, monomial=None):
         """(n, name, value[, stderr]) tuples for reporting."""
-        monos = [tuple(monomial)] if monomial else self.targets
+        monos = self.targets if monomial is None else [self.monomials[self.column(monomial)]]
         out = []
         for m in monos:
             c = self.column(m)
@@ -172,6 +183,12 @@ def parse_monomial(text, variables):
             raise ValueError(f"power in {factor.strip()!r} is not a nonnegative integer")
         m[variables.index(name)] += int(power) if caret else 1
     return tuple(m)
+
+
+def _monomial(m, variables):
+    """m as an exponent tuple: a string is parsed, anything else taken as
+    the exponents."""
+    return parse_monomial(m, variables) if isinstance(m, str) else tuple(m)
 
 
 class PolynomializedProgram:
@@ -315,15 +332,29 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
 
 def _expansion(fn, germ, degree, n_nodes):
     """expand's result for one call site, memoized across calls."""
-    key = (fn, germ.family, tuple(sorted(germ.params.items())), degree, n_nodes)
-    with _expansions_lock:
-        if key in _expansions:
-            _expansions.move_to_end(key)
-        else:
-            _expansions[key] = expand(NUMPY_CALLS[fn], germ, (degree,), n_nodes=n_nodes)
-            if len(_expansions) > _MEMO_EXPANSIONS:
-                _expansions.popitem(last=False)
-        return _expansions[key]
+    key = (fn,) + _density_key(germ) + (degree, n_nodes)
+    return _memoized(_expansions, _expansions_lock, key,
+                     lambda: expand(NUMPY_CALLS[fn], germ, (degree,), n_nodes=n_nodes),
+                     _MEMO_EXPANSIONS)
+
+
+def _memoized(memo, lock, key, build, bound, weigh=lambda value: 1):
+    """memo[key], from build() on a miss.  memo is an OrderedDict in least
+    recently used order.  build runs under lock, so threads that race on a
+    key build it once.  memo keeps entries whose weights add up to at most
+    bound, the least recently used out first, and a heavier value is not
+    stored."""
+    with lock:
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = build()
+        if weigh(value) <= bound:
+            memo[key] = value
+            total = sum(map(weigh, memo.values()))
+            while total > bound:
+                total -= weigh(memo.popitem(last=False)[1])
+        return value
 
 
 def _compose(exp_obj, arg_poly):
@@ -519,7 +550,7 @@ def _folds(pp):
     return folds
 
 
-def _steps(pp):
+def _steps(pp, powers=None):
     """The steps a sweep takes, in reverse body order: ("draw", field,
     density) integrates a draw, ("assign", field, powers) substitutes an
     update, whose _Powers come from the process-wide memo (_powers_memo),
@@ -527,7 +558,8 @@ def _steps(pp):
     separate polynomialize calls, the bodies of a schedule and successive
     queries share the powers of an update they have in common, and each
     power is built once per process while its entry stays in the memo.  A
-    folded draw takes no step of its own."""
+    folded draw takes no step of its own.  powers(poly, fold), when given,
+    takes the place of the memo: _powers_key gives the steps' content."""
     if pp.schedule:
         raise ValueError(
             "a scheduled program has one step map per iteration; "
@@ -544,25 +576,26 @@ def _steps(pp):
                 steps.append((kind, idx, payload))
             continue
         fold = tuple(folds.get(pos, ()))
-        steps.append((kind, idx, _update_powers(payload, fold)))
+        steps.append((kind, idx, (powers or _update_powers)(payload, fold)))
     return steps
 
 
+def _density_key(d):
+    """d's family and parameters, each parameter with its type:
+    Uniform(0, 3) and Uniform(0.0, 3.0) differ in the last bit of some raw
+    moments."""
+    return d.family, tuple((name, type(v), v) for name, v in sorted(d.params.items()))
+
+
+def _powers_key(poly, fold):
+    return (poly.arity, tuple(poly.terms.items()),
+            tuple((i,) + _density_key(d) for i, d in fold))
+
+
 def _update_powers(poly, fold):
-    """The memoized _Powers of poly with the draws of fold folded in.  The
-    key holds each parameter's type with its value: Uniform(0, 3) and
-    Uniform(0.0, 3.0) differ in the last bit of some raw moments."""
-    key = (poly.arity, tuple(poly.terms.items()),
-           tuple((i, d.family, tuple((name, type(v), v) for name, v in sorted(d.params.items())))
-                 for i, d in fold))
-    with _powers_lock:
-        if key in _powers_memo:
-            _powers_memo.move_to_end(key)
-        else:
-            _powers_memo[key] = _Powers(poly, fold)
-            if len(_powers_memo) > _MEMO_POWERS:
-                _powers_memo.popitem(last=False)
-        return _powers_memo[key]
+    """The memoized _Powers of poly with the draws of fold folded in."""
+    return _memoized(_powers_memo, _powers_lock, _powers_key(poly, fold),
+                     lambda: _Powers(poly, fold), _MEMO_POWERS)
 
 
 def _sweep(pp, frontier, steps):
@@ -616,7 +649,41 @@ def one_step_expectation(pp, monomial):
 
 def _close(pp, targets):
     """close_monomials' closure in sorted order, and its step map as COO
-    triplets (rows, cols, data) over that order.
+    triplets (rows, cols, data) over that order, read-only.
+
+    targets are monomial strings or exponent tuples over the state
+    variables.  The result depends only on the steps of the program
+    (_steps) and on the seed set, so one process-wide memo (_closures)
+    holds it under their content: the state and variable counts, each
+    step's kind and field with its update's _powers_key or its draw's
+    _density_key, and the sorted seeds.  Only a miss fetches the update
+    powers.  A hit returns the stored arrays and a fresh list of the order.
+    A closure that raises stores nothing, and the memo holds at most
+    _MEMO_STEP_NONZEROS step nonzeros, least recently used out first."""
+    k = len(pp.state_vars)
+    seeds = {(0,) * k}
+    for t in targets:
+        t = _monomial(t, pp.state_vars)
+        if len(t) != k:
+            raise ValueError(f"target {t} does not match state variables {pp.state_vars}")
+        seeds.add(t)
+        for i, p in enumerate(t):
+            if p:
+                unit = [0] * k
+                unit[i] = 1
+                seeds.add(tuple(unit))
+    seeds = tuple(sorted(seeds))
+    key = (k, len(pp.all_vars),
+           tuple((kind, idx, payload if kind == "assign" else _density_key(payload))
+                 for kind, idx, payload in _steps(pp, _powers_key)),
+           seeds)
+    order, step_map = _memoized(_closures, _closures_lock, key, lambda: _closure(pp, seeds),
+                                _MEMO_STEP_NONZEROS, weigh=lambda closure: len(closure[1][2]))
+    return list(order), step_map
+
+
+def _closure(pp, monomials):
+    """_close's result, built from the sorted seed monomials.
 
     Monomials are numbered as they are met and swept in that order, which is
     breadth first, _SWEEP_ROWS at a time, all sweeps sharing the update
@@ -628,18 +695,7 @@ def _close(pp, targets):
     adds them in the order MultiPoly arithmetic with the same folded powers
     would."""
     k = len(pp.state_vars)
-    seeds = {(0,) * k}
-    for t in targets:
-        t = tuple(t)
-        if len(t) != k:
-            raise ValueError(f"target {t} does not match state variables {pp.state_vars}")
-        seeds.add(t)
-        for i, p in enumerate(t):
-            if p:
-                unit = [0] * k
-                unit[i] = 1
-                seeds.add(tuple(unit))
-    monomials = list(seeds)
+    monomials = list(monomials)
     number = {m: i for i, m in enumerate(monomials)}
     steps = _steps(pp)
     rows, cols, data = [], [], []
@@ -673,16 +729,18 @@ def _close(pp, targets):
     rank[by_number] = np.arange(len(monomials))
     rows = rank[np.concatenate(rows)]
     by_row = np.argsort(rows, kind="stable")
-    cols = rank[np.concatenate(cols)]
-    order = [monomials[i] for i in by_number]
-    return order, (rows[by_row], cols[by_row], np.concatenate(data)[by_row])
+    step_map = (rows[by_row], rank[np.concatenate(cols)][by_row], np.concatenate(data)[by_row])
+    for a in step_map:
+        a.setflags(write=False)
+    return tuple(monomials[i] for i in by_number), step_map
 
 
 def close_monomials(pp, targets):
-    """Smallest monomial set containing the targets (plus the unit monomial
-    and the targets' first powers) closed under one-step expectation, and
-    each member's one-step expectation as a MultiPoly over all variables
-    (draw exponents zero), its terms in the order they were made."""
+    """Smallest monomial set containing the targets (monomial strings or
+    exponent tuples), the unit monomial and the targets' first powers,
+    closed under one-step expectation, and each member's one-step
+    expectation as a MultiPoly over all variables (draw exponents zero), its
+    terms in the order they were made."""
     order, (rows, cols, data) = _close(pp, targets)
     pad = (0,) * len(pp.draw_vars)
     full = [m + pad for m in order]
@@ -726,10 +784,7 @@ def propagate(pp, targets, iterations):
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if not isinstance(pp, PolynomializedProgram):
         pp = polynomialize(pp)
-    tgt = [
-        parse_monomial(t, pp.state_vars) if isinstance(t, str) else tuple(t)
-        for t in targets
-    ]
+    tgt = [_monomial(t, pp.state_vars) for t in targets]
     bodies = pp.schedule or (pp,)
     if pp.schedule and iterations > len(bodies):
         raise ValueError(f"the schedule covers {len(bodies)} iterations, not {iterations}")
@@ -791,10 +846,7 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
             m[i] = 1
             tgt.append(tuple(m))
     else:
-        tgt = [
-            parse_monomial(t, state_vars) if isinstance(t, str) else tuple(t)
-            for t in targets
-        ]
+        tgt = [_monomial(t, state_vars) for t in targets]
     init_value = {i.var: i.value for i in program.inits}
 
     def run_chunk(args):

@@ -36,6 +36,7 @@ WALK = "x = 0\nwhile true {\n w = Normal(0, 1)\n x := x + w\n}"
 AR1 = "v = Uniform(6.5, 8.0)\nwhile true {\n w = Uniform(-0.1, 0.1)\n v := 0.95*v + 0.5 + 0.1*w\n}"
 PRODUCT = "p = 1\nwhile true {\n w = Uniform(0, 2)\n p := p*w\n}"
 CHI = "x = 0\nwhile true {\n w = Normal(0, 1)\n x := x + w^2\n}"
+HALVING = "x = 1\nwhile true {\n w = Normal(0, 1)\n x := 0.5 * x + w\n}"
 
 
 def test_counter_moments():
@@ -359,6 +360,12 @@ def test_moment_table_rows_shape():
     t = propagate(parse(COUNTER), ["c"], 2)
     rows = t.rows()
     assert rows == [(0, "c", 0.0), (1, "c", 1.0), (2, "c", 2.0)]
+
+
+def test_moment_table_rows_take_monomial_strings():
+    t = propagate(parse(HALVING), ["x^2"], 3)
+    assert t.rows("x^2") == t.rows((2,)) == t.rows()
+    assert t.rows("x")[0] == (0, "x", 1.0)
 
 
 def test_parse_monomial_round_trip():
@@ -788,7 +795,7 @@ def test_single_use_draw_is_folded_and_a_shared_one_is_not():
             assert abs(table.value(n, target) - float(exact[n])) <= 1e-12 * float(scale[n])
 
 
-def test_combine_runs_when_a_row_holds_several_degrees(monkeypatch):
+def test_combine_runs_when_a_row_holds_several_degrees(monkeypatch, no_closures):
     """y's update leaves x^0, x^1 and x^2 in y's row, so substituting x
     makes equal terms, which must be added up."""
     pp = polynomialize(parse("x = 1\ny = 0\nwhile true {\n x := 0.5*x + 1\n y := y + x + x^2\n}"))
@@ -836,7 +843,7 @@ def _wide_exponent_loop():
     return pp
 
 
-def test_closure_kernel_sorts_exponents_wider_than_63_bits(monkeypatch):
+def test_closure_kernel_sorts_exponents_wider_than_63_bits(monkeypatch, no_closures):
     """The exponents of _wide_exponent_loop need more than 63 bits, so terms
     are sorted field by field instead of by one packed key."""
     pp = _wide_exponent_loop()
@@ -914,7 +921,7 @@ def test_step_map_arrays_match_multipoly_rows_on_random_loops():
             pp, [parse_monomial(format_monomial(target, state), pp.state_vars)], 10)
 
 
-def test_step_map_arrays_match_multipoly_rows_wider_than_63_bits(monkeypatch):
+def test_step_map_arrays_match_multipoly_rows_wider_than_63_bits(monkeypatch, no_closures):
     pp = _wide_exponent_loop()
     lexsorts = []
     real_lexsort = np.lexsort
@@ -933,7 +940,7 @@ def expand_calls(monkeypatch):
     real_expand = engine.expand
 
     def counted(g, germ, degrees, n_nodes):
-        calls.append((g, germ.family, tuple(sorted(germ.params.items())), degrees, n_nodes))
+        calls.append((g,) + engine._density_key(germ) + (degrees, n_nodes))
         return real_expand(g, germ, degrees, n_nodes=n_nodes)
 
     monkeypatch.setattr(engine, "_expansions", OrderedDict())
@@ -990,6 +997,13 @@ def test_expansion_memo_is_bounded(expand_calls, monkeypatch):
         lagrange_schedule(parse(DRIFT), 0, 6, germs, degree=4), ["x"], 6).values.tobytes()
 
 
+def test_expansion_memo_tells_integer_from_float_parameters(expand_calls):
+    prog = parse("x = 0\nwhile true {\n x := sin(x)\n}")
+    for germ in (Density.uniform(0, 3), Density.uniform(0.0, 3.0)):
+        polynomialize(prog, degree=5, germ=germ)
+    assert len(expand_calls) == len(engine._expansions) == 2
+
+
 def test_concurrent_polynomialize_gives_identical_programs(expand_calls):
     prog = parse_file(program_path("turning.ppl"))
     switch = sys.getswitchinterval()
@@ -1011,8 +1025,9 @@ def test_concurrent_polynomialize_gives_identical_programs(expand_calls):
 
 
 @pytest.fixture
-def powers_built(monkeypatch):
-    """An empty update-power memo, and the list of _Powers built since."""
+def powers_built(monkeypatch, no_closures):
+    """Empty update-power and closure memos, and the list of _Powers built
+    since."""
     built = []
 
     class Counted(engine._Powers):
@@ -1040,6 +1055,7 @@ def test_shared_powers_give_the_closures_of_fresh_ones(powers_built, monkeypatch
     shared = [_closed_bytes(polynomialize(prog, degree=d), [t]) for d, t in queries]
     assert len(powers_built) == 10   # x's and y's per degree, psi's and v's once
     monkeypatch.setattr(engine, "_update_powers", engine._Powers)
+    engine._closures.clear()
     fresh = [_closed_bytes(polynomialize(prog, degree=d), [t]) for d, t in queries]
     assert shared == fresh
 
@@ -1066,6 +1082,7 @@ def test_concurrent_propagate_matches_a_serial_run(powers_built):
         sys.setswitchinterval(switch)
     assert len(powers_built) == 4
     engine._powers_memo.clear()
+    engine._closures.clear()
     for t, table in zip(jobs, tables):
         assert table.values.tobytes() == propagate(pp, [t], 20).values.tobytes()
 
@@ -1076,6 +1093,7 @@ def test_update_power_memo_is_bounded(powers_built, monkeypatch):
     assert len(engine._powers_memo) == 6
     monkeypatch.setattr(engine, "_MEMO_POWERS", 2)
     engine._powers_memo.clear()
+    engine._closures.clear()
     del powers_built[:]
     for d, table in zip((5, 9), want):
         got = propagate(polynomialize(prog, degree=d), ["x^2*y^2"], 20)
@@ -1095,3 +1113,164 @@ def test_update_power_memo_tells_integer_from_float_parameters(powers_built):
         pp = polynomialize(LoopProgram([Init("x", 0.0)], [DistDraw("w", w), Assign("x", Var("w"))]))
         assert propagate(pp, [(22,)], 1).value(1, (22,)) == w.raw_moment(22)
     assert len(powers_built) == 2
+
+
+# -- closure memo --------------------------------------------------------------
+
+
+@pytest.fixture
+def no_closures(monkeypatch):
+    """An empty closure memo, so the closures a test asks for are built."""
+    monkeypatch.setattr(engine, "_closures", OrderedDict())
+
+
+@pytest.fixture
+def closures_built(monkeypatch, no_closures):
+    """An empty closure memo, and the list of seed lists closed since."""
+    built = []
+    real = engine._closure
+
+    def counted(pp, monomials):
+        built.append(list(monomials))
+        return real(pp, monomials)
+
+    monkeypatch.setattr(engine, "_closure", counted)
+    return built
+
+
+def _fresh_closed_bytes(pp, targets):
+    engine._closures.clear()
+    return _closed_bytes(pp, targets)
+
+
+def test_closure_memo_hits_equal_fresh_closures(closures_built):
+    queries = [(polynomialize(parse_file(program_path(name)), degree=d), target)
+               for name in ("turning.ppl", "turning_trunc.ppl") for d in (3, 5, 9, 13)
+               for target in ("x", "x^2", "x^4", "x^2*y^2")]
+    for pp, target in queries:
+        _closed_bytes(pp, [target])
+    assert len(closures_built) == len(queries)
+    hits = [_closed_bytes(pp, [target]) for pp, target in queries]
+    assert len(closures_built) == len(queries)
+    assert hits == [_fresh_closed_bytes(pp, [target]) for pp, target in queries]
+
+
+def test_closure_memo_hits_equal_fresh_closures_on_a_lagrange_schedule(closures_built):
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
+    prog = parse(DRIFT)
+    first = propagate(lagrange_schedule(prog, 0, 8, germs, degree=8), ["x"], 8)
+    assert len(closures_built) == 8
+    again = propagate(lagrange_schedule(prog, 0, 8, germs, degree=8), ["x"], 8)
+    assert len(closures_built) == 8
+    assert again.values.tobytes() == first.values.tobytes()
+    order = first.monomials
+    for body in lagrange_schedule(prog, 0, 8, germs, degree=8).schedule:
+        assert _closed_bytes(body, order) == _fresh_closed_bytes(body, order)
+
+
+def test_close_monomials_memo_hits_equal_fresh_closures(no_closures):
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
+
+    def rows(closure_and_step):
+        closure, step = closure_and_step
+        return sorted(closure), [(m, list(step[m].terms.items())) for m in sorted(closure)]
+
+    first = rows(close_monomials(pp, ["x^2*y^2"]))
+    assert rows(close_monomials(pp, ["x^2*y^2"])) == first
+    engine._closures.clear()
+    assert rows(close_monomials(pp, ["x^2*y^2"])) == first
+
+
+def test_close_monomials_takes_monomial_strings():
+    pp = polynomialize(parse(HALVING))
+    for text, exponents in (("x", (1,)), ("x^2", (2,))):
+        closure, step = close_monomials(pp, [text])
+        assert (closure, step) == close_monomials(pp, [exponents])
+        assert closure == {(k,) for k in range(exponents[0] + 1)}
+
+
+def test_a_closure_that_raises_raises_again(closures_built):
+    blowup = polynomialize(parse("x = 2\nwhile true {\n x := x^2\n}"))
+    late = polynomialize(LoopProgram(
+        [Init("x", 0.0)],
+        [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", Density.normal(0, 1))],
+    ))
+    for pp, match in ((blowup, "not moment-computable"), (late, "survives the iteration")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                engine._close(pp, [(1,)])
+    assert len(closures_built) == 4
+    assert not engine._closures
+
+
+def test_closure_memo_tells_integer_from_float_parameters(no_closures):
+    """w feeds both updates, so it is not folded and keys the closure by its
+    own parameters."""
+    draws = [Density.uniform(-1, 5), Density.uniform(-1.0, 5.0)]
+    for w in draws:
+        pp = polynomialize(LoopProgram(
+            [Init("x", 0.0), Init("y", 0.0)],
+            [DistDraw("w", w), Assign("x", Var("w")), Assign("y", Var("w"))],
+        ))
+        assert engine._folds(pp) == {}
+        assert propagate(pp, [(22, 0)], 1).value(1, (22, 0)) == w.raw_moment(22)
+    assert len(engine._closures) == 2
+
+
+def test_closure_memo_returns_what_callers_cannot_change(no_closures):
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=5)
+    order, arrays = engine._close(pp, ["x^2"])
+    want = list(order)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    order.clear()
+    again, hit = engine._close(pp, ["x^2"])
+    assert again == want
+    assert all(a is b for a, b in zip(hit, arrays))
+    assert not any(a.flags.writeable for a in hit)
+
+
+def test_concurrent_close_matches_a_serial_run(no_closures):
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
+    jobs = ["x", "x^4", "x^2*y^2", "x^2", "y^3", "x*y", "x^2*y^2", "y^4", "x^4", "x"]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_closed_bytes, pp, [t]) for t in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(engine._closures) == len(set(jobs))
+    assert got == [_fresh_closed_bytes(pp, [t]) for t in jobs]
+
+
+def test_closure_memo_is_bounded_by_step_nonzeros(closures_built, monkeypatch):
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=5)
+    nonzeros = {t: len(engine._close(pp, [t])[1][2]) for t in ("x", "y", "x^2", "psi")}
+    assert nonzeros["psi"] <= nonzeros["y"]
+    monkeypatch.setattr(engine, "_MEMO_STEP_NONZEROS", nonzeros["x"] + nonzeros["y"]
+                        + nonzeros["x^2"])
+    engine._closures.clear()
+    del closures_built[:]
+
+    def held():
+        return [key[-1] for key in engine._closures]
+
+    def close(target):
+        engine._close(pp, [target])
+        return held()[-1]
+
+    x, y, x2 = close("x"), close("y"), close("x^2")
+    close("x")
+    assert held() == [y, x2, x] and len(closures_built) == 3
+    # psi's closure pushes the total over the bound, and y, the least
+    # recently used, goes
+    psi = close("psi")
+    assert held() == [x2, x, psi] and len(closures_built) == 4
+    # a closure heavier than the bound is built on every call and not held
+    for _ in range(2):
+        engine._close(pp, ["x^4"])
+    assert held() == [x2, x, psi] and len(closures_built) == 6
