@@ -17,13 +17,12 @@ iteration are obtained by substituting updates in reverse body order and
 integrating out each fresh draw with the raw moments of its distribution
 (draws are independent of everything sampled before them).  A draw that
 only one update reads is integrated out of that update's powers instead,
-before they are substituted.  Those powers depend only on the update and
-its folded draws, so one bounded process-wide memo holds them, keyed by
-content: every query, program and schedule body with the same update
-builds each power once.  In the same way a closure and its step map depend
-only on the program's steps and the seed monomials, so a second such memo
-sits in front of _close: a repeated query or schedule body closes nothing
-again, though a query's first closure costs what it did.
+before they are substituted.  A closure and its step map depend only on
+the program's steps and the seed monomials, so one bounded process-wide
+memo, keyed by that content, sits in front of _close: a repeated query or
+schedule body closes nothing again, though a query's first closure costs
+what it did.  The update powers are built once per closure miss and shared
+by all of its sweeps.
 """
 
 import os
@@ -70,13 +69,6 @@ _SWEEP_ROWS = 64
 _MEMO_EXPANSIONS = 64
 _expansions = OrderedDict()
 _expansions_lock = threading.Lock()
-
-# Update powers in the memo of _update_powers, which maps an update's terms
-# and the draws folded into it to their _Powers; the least recently used
-# goes first.  One vehicle-suite pass fills 18 entries.
-_MEMO_POWERS = 64
-_powers_memo = OrderedDict()
-_powers_lock = threading.Lock()
 
 # Step nonzeros held by the memo of _close, which maps a program's steps and
 # seed monomials to their closure and step map; the least recently used
@@ -241,13 +233,23 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
 
     degree and germ set the default expansion config; per_site maps a call
     site index (textual order, as listed by validate_conditions) to a dict
-    with optional "degree" and "germ" entries.  Stable sites read their
-    germ off the argument's polynomial when it is affine in one draw;
+    with optional "degree" and "germ" entries; an entry that names no call
+    site or holds another field is refused.  Stable sites read their germ
+    off the argument's polynomial when it is affine in one draw;
     accumulating sites fall back to the standard normal reference germ.
     """
     report = validate_conditions(program)
     sites = report["call_sites"]
     per_site = per_site or {}
+    for site, cfg in per_site.items():
+        if site not in range(len(sites)):
+            raise ValueError(f"per_site entry {site!r} names no call site; "
+                             f"the program has {len(sites)}")
+        unknown = set(cfg) - {"degree", "germ"}
+        if unknown:
+            raise ValueError(f"per_site entry {site!r}: unknown field "
+                             f"{', '.join(sorted(map(repr, unknown)))}; "
+                             "fields are 'degree' and 'germ'")
     draw_density = {u.var: u.density for u in program.body if isinstance(u, DistDraw)}
 
     state_vars = [v for v in program.state_vars if v not in draw_density]
@@ -429,11 +431,8 @@ class _Powers:
     up, and fields lists the fields they hold.  Each P^k is one MultiPoly
     product of the one below and P; the folded draws are integrated out of
     all powers an upto call builds at once, with the power as the row
-    field, so that call fetches each raw moment once.
-
-    Instances live in a process-wide memo (_update_powers) that threads
-    share, so upto extends under a lock.  It only appends: the powers a
-    caller has had built keep their columns and values."""
+    field, so that call fetches each raw moment once.  upto only appends,
+    so the sweeps of one closure share the powers the earlier ones built."""
 
     def __init__(self, poly, fold):
         self.poly = poly
@@ -443,36 +442,34 @@ class _Powers:
         self.coefs = np.ones(1)
         self.first, self.size = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
         self._last = None
-        self._lock = threading.Lock()
 
     def upto(self, top):
         """self, with every power up to the top-th built."""
-        with self._lock:
-            built = len(self.size)
-            if built > top:
-                return self
-            exps, coefs, power = [], [], []
-            for k in range(built, top + 1):
-                self._last = self._last * self.poly if self._last else self.poly
-                exps.extend(self._last.terms)
-                coefs.extend(self._last.terms.values())
-                power.extend([k] * len(self._last.terms))
-            arity = self.poly.arity
-            table = np.empty((arity + 1, len(coefs)), dtype=np.int64)
-            table[:-1] = np.array(exps, dtype=np.int64).reshape(-1, arity).T
-            table[-1] = power
-            coefs = np.array(coefs)
-            if self.fold:
-                for idx, density in self.fold:
-                    table, coefs = _integrate(table, coefs, idx, density)
-                table, coefs = _combine(table, coefs)
-            sizes = np.bincount(table[-1], minlength=top + 1)[built:]
-            table[-1] = 0
-            self.table = np.concatenate([self.table, table], axis=1)
-            self.coefs = np.concatenate([self.coefs, coefs])
-            self.size = np.concatenate([self.size, sizes])
-            self.first = np.cumsum(self.size) - self.size
+        built = len(self.size)
+        if built > top:
             return self
+        exps, coefs, power = [], [], []
+        for k in range(built, top + 1):
+            self._last = self._last * self.poly if self._last else self.poly
+            exps.extend(self._last.terms)
+            coefs.extend(self._last.terms.values())
+            power.extend([k] * len(self._last.terms))
+        arity = self.poly.arity
+        table = np.empty((arity + 1, len(coefs)), dtype=np.int64)
+        table[:-1] = np.array(exps, dtype=np.int64).reshape(-1, arity).T
+        table[-1] = power
+        coefs = np.array(coefs)
+        if self.fold:
+            for idx, density in self.fold:
+                table, coefs = _integrate(table, coefs, idx, density)
+            table, coefs = _combine(table, coefs)
+        sizes = np.bincount(table[-1], minlength=top + 1)[built:]
+        table[-1] = 0
+        self.table = np.concatenate([self.table, table], axis=1)
+        self.coefs = np.concatenate([self.coefs, coefs])
+        self.size = np.concatenate([self.size, sizes])
+        self.first = np.cumsum(self.size) - self.size
+        return self
 
 
 def _substitute(table, coefs, idx, powers):
@@ -550,16 +547,11 @@ def _folds(pp):
     return folds
 
 
-def _steps(pp, powers=None):
-    """The steps a sweep takes, in reverse body order: ("draw", field,
-    density) integrates a draw, ("assign", field, powers) substitutes an
-    update, whose _Powers come from the process-wide memo (_powers_memo),
-    keyed by the update's terms and its folded draws.  So programs built by
-    separate polynomialize calls, the bodies of a schedule and successive
-    queries share the powers of an update they have in common, and each
-    power is built once per process while its entry stays in the memo.  A
-    folded draw takes no step of its own.  powers(poly, fold), when given,
-    takes the place of the memo: _powers_key gives the steps' content."""
+def _steps(pp):
+    """The steps a sweep takes, in reverse body order, as their content:
+    ("draw", field, density) integrates a draw, ("assign", field, (poly,
+    fold)) substitutes an update with the draws of fold folded into its
+    powers.  A folded draw takes no step of its own."""
     if pp.schedule:
         raise ValueError(
             "a scheduled program has one step map per iteration; "
@@ -575,9 +567,14 @@ def _steps(pp, powers=None):
             if idx not in folded:
                 steps.append((kind, idx, payload))
             continue
-        fold = tuple(folds.get(pos, ()))
-        steps.append((kind, idx, (powers or _update_powers)(payload, fold)))
+        steps.append((kind, idx, (payload, tuple(folds.get(pos, ())))))
     return steps
+
+
+def _powered(steps):
+    """steps (_steps) with each update's content replaced by fresh _Powers."""
+    return [(kind, idx, _Powers(*payload) if kind == "assign" else payload)
+            for kind, idx, payload in steps]
 
 
 def _density_key(d):
@@ -592,18 +589,12 @@ def _powers_key(poly, fold):
             tuple((i,) + _density_key(d) for i, d in fold))
 
 
-def _update_powers(poly, fold):
-    """The memoized _Powers of poly with the draws of fold folded in."""
-    return _memoized(_powers_memo, _powers_lock, _powers_key(poly, fold),
-                     lambda: _Powers(poly, fold), _MEMO_POWERS)
-
-
 def _sweep(pp, frontier, steps):
     """One-step expectations of a frontier of state monomials, as a table
     and coefficients; row r holds the expectation of frontier[r].
 
-    The whole frontier goes through steps (_steps, reverse body order) at
-    once: an update replaces var^k by E[P^k], the k-th power of its
+    The whole frontier goes through steps (_powered _steps, reverse body
+    order) at once: an update replaces var^k by E[P^k], the k-th power of its
     polynomial with its folded draws integrated out, and a draw left
     unfolded replaces w^k by E[w^k].  Equal terms are combined after each
     step that can make any (_may_merge); otherwise only exact zeros are
@@ -642,7 +633,7 @@ def _sweep(pp, frontier, steps):
 def one_step_expectation(pp, monomial):
     """Expectation of a state monomial after one iteration, as a polynomial
     in the previous iteration's state monomials."""
-    table, coefs = _sweep(pp, [tuple(monomial)], _steps(pp))
+    table, coefs = _sweep(pp, [tuple(monomial)], _powered(_steps(pp)))
     return MultiPoly._trusted(len(pp.all_vars), dict(zip(map(tuple, table[:-1].T.tolist()),
                                                           coefs.tolist())))
 
@@ -656,8 +647,8 @@ def _close(pp, targets):
     (_steps) and on the seed set, so one process-wide memo (_closures)
     holds it under their content: the state and variable counts, each
     step's kind and field with its update's _powers_key or its draw's
-    _density_key, and the sorted seeds.  Only a miss fetches the update
-    powers.  A hit returns the stored arrays and a fresh list of the order.
+    _density_key, and the sorted seeds.  Only a miss builds update powers.
+    A hit returns the stored arrays and a fresh list of the order.
     A closure that raises stores nothing, and the memo holds at most
     _MEMO_STEP_NONZEROS step nonzeros, least recently used out first."""
     k = len(pp.state_vars)
@@ -673,21 +664,24 @@ def _close(pp, targets):
                 unit[i] = 1
                 seeds.add(tuple(unit))
     seeds = tuple(sorted(seeds))
+    steps = _steps(pp)
     key = (k, len(pp.all_vars),
-           tuple((kind, idx, payload if kind == "assign" else _density_key(payload))
-                 for kind, idx, payload in _steps(pp, _powers_key)),
+           tuple((kind, idx, _powers_key(*payload) if kind == "assign" else _density_key(payload))
+                 for kind, idx, payload in steps),
            seeds)
-    order, step_map = _memoized(_closures, _closures_lock, key, lambda: _closure(pp, seeds),
+    order, step_map = _memoized(_closures, _closures_lock, key,
+                                lambda: _closure(pp, seeds, _powered(steps)),
                                 _MEMO_STEP_NONZEROS, weigh=lambda closure: len(closure[1][2]))
     return list(order), step_map
 
 
-def _closure(pp, monomials):
-    """_close's result, built from the sorted seed monomials.
+def _closure(pp, monomials, steps):
+    """_close's result, built from the sorted seed monomials and the
+    _powered steps of pp.
 
     Monomials are numbered as they are met and swept in that order, which is
     breadth first, _SWEEP_ROWS at a time, all sweeps sharing the update
-    powers of _steps; a term's row is its sweep's row field plus
+    powers of steps; a term's row is its sweep's row field plus
     the number of the sweep's first monomial, and its column the number of
     its state exponents, looked up once per distinct exponent column.  Draw
     exponents are zero after a sweep and are dropped with the table.  A
@@ -697,7 +691,6 @@ def _closure(pp, monomials):
     k = len(pp.state_vars)
     monomials = list(monomials)
     number = {m: i for i, m in enumerate(monomials)}
-    steps = _steps(pp)
     rows, cols, data = [], [], []
     swept = 0
     while swept < len(monomials):
@@ -838,6 +831,8 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     state_vars = [v for v in program.state_vars if v not in set(program.draw_vars)]
     if targets is None:
         tgt = []
@@ -924,8 +919,6 @@ def lagrange_schedule(program, site_index, iterations, germs, degree=5,
     germs = list(germs)
     if len(germs) != iterations:
         raise ValueError(f"need {iterations} germ models, got {len(germs)}")
-    if site_index >= len(validate_conditions(program)["call_sites"]):
-        raise ValueError(f"no call site {site_index}")
     schedule = tuple(
         polynomialize(program, degree, n_nodes=n_nodes, per_site={site_index: {"germ": g}})
         for g in germs

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -66,8 +68,11 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_module_entry_point():
+    env = dict(os.environ)
+    package_root = str(pathlib.Path(pce_loops.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pce_loops", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pce-loops" in proc.stdout
 

@@ -207,6 +207,12 @@ def test_per_site_degree_override():
                        per_site={1: {"degree": 7}})
     assert pp.provenance[0]["degree"] == 3
     assert pp.provenance[1]["degree"] == 7
+    # an entry that configures nothing is refused, naming itself
+    for per_site, match in (({-1: {"degree": 7}}, "per_site entry -1 names no call site"),
+                            ({7: {"degree": 7}}, "per_site entry 7 names no call site"),
+                            ({0: {"degre": 9}}, "per_site entry 0: unknown field 'degre'")):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            polynomialize(parse_file(program_path("turning.ppl")), degree=3, per_site=per_site)
 
 
 def test_propagation_matches_simulation():
@@ -241,6 +247,8 @@ def test_negative_iterations_and_empty_samples_are_refused():
         simulate(prog, -1, samples=10)
     with pytest.raises(ValueError, match="samples"):
         simulate(prog, 3, samples=0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        simulate(prog, 3, samples=10, chunk_size=0)
     assert propagate(prog, ["x"], 0).iterations == 0
 
 
@@ -334,8 +342,9 @@ def test_lagrange_validates_inputs():
         lagrange_schedule(prog, 0, 0, [], degree=4)
     with pytest.raises(ValueError, match="germ models"):
         lagrange_schedule(prog, 0, 3, [Density.normal(0, 1)], degree=4)
-    with pytest.raises(ValueError, match="no call site"):
-        lagrange_schedule(prog, 5, 1, [Density.normal(0, 1)], degree=4)
+    for site in (5, -1):
+        with pytest.raises(ValueError, match="no call site"):
+            lagrange_schedule(prog, site, 1, [Density.normal(0, 1)], degree=4)
 
 
 def test_moment_table_guards():
@@ -1021,55 +1030,60 @@ def test_concurrent_polynomialize_gives_identical_programs(expand_calls):
         assert _body_terms(pp) == _body_terms(want)
 
 
-# -- update-power memo ---------------------------------------------------------
+# -- update powers -------------------------------------------------------------
 
 
 @pytest.fixture
 def powers_built(monkeypatch, no_closures):
-    """Empty update-power and closure memos, and the list of _Powers built
-    since."""
+    """An empty closure memo, and the list of _Powers built since."""
     built = []
 
     class Counted(engine._Powers):
         def __init__(self, poly, fold):
-            built.append(poly)
+            built.append(self)
             super().__init__(poly, fold)
 
-    monkeypatch.setattr(engine, "_powers_memo", OrderedDict())
     monkeypatch.setattr(engine, "_Powers", Counted)
     return built
 
 
-def _closed_bytes(pp, targets):
-    order, (rows, cols, data) = engine._close(pp, targets)
-    return order, rows.tobytes(), cols.tobytes(), data.tobytes()
-
-
-def test_shared_powers_give_the_closures_of_fresh_ones(powers_built, monkeypatch):
-    """Degrees and targets run in turn, so the memo's entries are extended
-    by later, higher queries, and the psi and v updates, which hold no
-    call, are shared across degrees."""
+def test_closure_hit_builds_no_powers(powers_built):
+    """A repeated query, a re-polynomialized program and a repeated Lagrange
+    schedule are closure hits, and a hit builds no update powers."""
     prog = parse_file(program_path("turning.ppl"))
-    queries = [(degree, parse_monomial(target, ["x", "y", "v", "psi"]))
-               for degree in (3, 5, 9, 13) for target in ("x", "x^4", "x^2*y^2")]
-    shared = [_closed_bytes(polynomialize(prog, degree=d), [t]) for d, t in queries]
-    assert len(powers_built) == 10   # x's and y's per degree, psi's and v's once
-    monkeypatch.setattr(engine, "_update_powers", engine._Powers)
-    engine._closures.clear()
-    fresh = [_closed_bytes(polynomialize(prog, degree=d), [t]) for d, t in queries]
-    assert shared == fresh
-
-
-def test_repolynomialized_program_builds_no_powers(powers_built):
-    prog = parse_file(program_path("turning.ppl"))
-    first = propagate(polynomialize(prog, degree=9), ["x^2*y^2"], 20)
-    assert len(powers_built) == 4
-    again = propagate(polynomialize(prog, degree=9), ["x^2*y^2"], 20)
-    assert len(powers_built) == 4
+    pp = polynomialize(prog, degree=9)
+    first = propagate(pp, ["x^2*y^2"], 20)
+    assert len(powers_built) == 4   # one per update
+    for again in (pp, polynomialize(prog, degree=9)):
+        assert propagate(again, ["x^2*y^2"], 20).values.tobytes() == first.values.tobytes()
+        assert len(powers_built) == 4
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
+    first = propagate(lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8), ["x"], 8)
+    assert len(powers_built) == 4 + 8 * 2   # s's and x's per body
+    again = propagate(lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8), ["x"], 8)
+    assert len(powers_built) == 4 + 8 * 2
     assert again.values.tobytes() == first.values.tobytes()
 
 
-def test_concurrent_propagate_matches_a_serial_run(powers_built):
+def test_closure_miss_shares_its_powers_across_sweeps(powers_built, monkeypatch):
+    """The degree-9 x^2*y^2 closure holds 314 monomials, swept as they are
+    met, at most 64 at a time: its miss builds one _Powers per update step,
+    and all six sweeps use them."""
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
+    swept = []
+    real = engine._sweep
+    monkeypatch.setattr(engine, "_sweep", lambda pp, frontier, steps: swept.append(
+        (len(frontier), steps)) or real(pp, frontier, steps))
+    order, _ = engine._close(pp, ["x^2*y^2"])
+    assert len(order) == 314
+    assert [n for n, _ in swept] == [4, 64, 64, 64, 64, 54]
+    steps = swept[0][1]
+    assert all(s is steps for _, s in swept)
+    assert [p for kind, _, p in steps if kind == "assign"] == powers_built
+    assert len(powers_built) == 4
+
+
+def test_concurrent_propagate_matches_a_serial_run(no_closures):
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
     jobs = ["x", "x^4", "x^2*y^2", "x^2", "y^3", "x*y", "x^2*y^2", "y^4"]
     switch = sys.getswitchinterval()
@@ -1080,39 +1094,9 @@ def test_concurrent_propagate_matches_a_serial_run(powers_built):
             tables = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(switch)
-    assert len(powers_built) == 4
-    engine._powers_memo.clear()
     engine._closures.clear()
     for t, table in zip(jobs, tables):
         assert table.values.tobytes() == propagate(pp, [t], 20).values.tobytes()
-
-
-def test_update_power_memo_is_bounded(powers_built, monkeypatch):
-    prog = parse_file(program_path("turning.ppl"))
-    want = [propagate(polynomialize(prog, degree=d), ["x^2*y^2"], 20) for d in (5, 9)]
-    assert len(engine._powers_memo) == 6
-    monkeypatch.setattr(engine, "_MEMO_POWERS", 2)
-    engine._powers_memo.clear()
-    engine._closures.clear()
-    del powers_built[:]
-    for d, table in zip((5, 9), want):
-        got = propagate(polynomialize(prog, degree=d), ["x^2*y^2"], 20)
-        assert got.values.tobytes() == table.values.tobytes()
-        assert len(engine._powers_memo) == 2
-    # each degree's close sweeps four updates with only two entries held,
-    # so every step builds its powers again
-    assert len(powers_built) == 8
-
-
-def test_update_power_memo_tells_integer_from_float_parameters(powers_built):
-    """Uniform(-1, 5) and Uniform(-1.0, 5.0) have different 22nd moments in
-    the last bit, so the update they are folded into keys two entries."""
-    draws = [Density.uniform(-1, 5), Density.uniform(-1.0, 5.0)]
-    assert draws[0].raw_moment(22) != draws[1].raw_moment(22)
-    for w in draws:
-        pp = polynomialize(LoopProgram([Init("x", 0.0)], [DistDraw("w", w), Assign("x", Var("w"))]))
-        assert propagate(pp, [(22,)], 1).value(1, (22,)) == w.raw_moment(22)
-    assert len(powers_built) == 2
 
 
 # -- closure memo --------------------------------------------------------------
@@ -1130,12 +1114,17 @@ def closures_built(monkeypatch, no_closures):
     built = []
     real = engine._closure
 
-    def counted(pp, monomials):
+    def counted(pp, monomials, steps):
         built.append(list(monomials))
-        return real(pp, monomials)
+        return real(pp, monomials, steps)
 
     monkeypatch.setattr(engine, "_closure", counted)
     return built
+
+
+def _closed_bytes(pp, targets):
+    order, (rows, cols, data) = engine._close(pp, targets)
+    return order, rows.tobytes(), cols.tobytes(), data.tobytes()
 
 
 def _fresh_closed_bytes(pp, targets):
@@ -1214,6 +1203,18 @@ def test_closure_memo_tells_integer_from_float_parameters(no_closures):
         ))
         assert engine._folds(pp) == {}
         assert propagate(pp, [(22, 0)], 1).value(1, (22, 0)) == w.raw_moment(22)
+    assert len(engine._closures) == 2
+
+
+def test_closure_memo_tells_integer_from_float_folded_parameters(no_closures):
+    """Uniform(-1, 5) and Uniform(-1.0, 5.0) have different 22nd moments in
+    the last bit, so the update they are folded into keys two closures."""
+    draws = [Density.uniform(-1, 5), Density.uniform(-1.0, 5.0)]
+    assert draws[0].raw_moment(22) != draws[1].raw_moment(22)
+    for w in draws:
+        pp = polynomialize(LoopProgram([Init("x", 0.0)], [DistDraw("w", w), Assign("x", Var("w"))]))
+        assert engine._folds(pp) == {1: [(1, w)]}
+        assert propagate(pp, [(22,)], 1).value(1, (22,)) == w.raw_moment(22)
     assert len(engine._closures) == 2
 
 
