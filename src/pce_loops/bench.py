@@ -128,8 +128,7 @@ BENCHMARKS = {
 SUITES = tuple(BENCHMARKS) + ("appendix-b",)
 
 
-def run_benchmark(key, samples=10**6, seed=0, n_nodes=quad.DEFAULT_NODES,
-                  with_sim=True, degrees=None):
+def run_benchmark(key, samples=10**6, seed=0, n_nodes=quad.DEFAULT_NODES, with_sim=True):
     """Propagate and simulate one loop benchmark against its references.
 
     A propagation row whose |result - reference| exceeds the benchmark's
@@ -156,7 +155,7 @@ def run_benchmark(key, samples=10**6, seed=0, n_nodes=quad.DEFAULT_NODES,
         "sim_reference": b.sim_reference,
         "rows": [],
     }
-    for deg in degrees or b.degrees:
+    for deg in b.degrees:
         t0 = time.perf_counter()
         pp = polynomialize(prog, degree=deg, n_nodes=n_nodes)
         t1 = time.perf_counter()

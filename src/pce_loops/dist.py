@@ -18,6 +18,7 @@ recurrence (_golub_welsch), and _values, the recurrence run on points.
 
 import functools
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,10 +55,14 @@ def _normal_logpdf(x, mu, sigma):
 
 
 class Density:
-    """One continuous univariate distribution.
+    """One continuous univariate distribution, compared by value.
 
-    Instances are immutable in spirit: nothing mutates them after
-    construction, so they are safe to share.  Use the family constructors
+    Two densities are equal, and hash alike, when they have the same family
+    and the same parameters, each of the same type: Uniform(-1, 5) and
+    Uniform(-1.0, 5.0) differ in the last bit of their 22nd raw moment, so
+    they are different densities.  params is a read-only mapping that
+    cannot be rebound, so a density cannot change after a memo was keyed
+    on it, and instances are safe to share.  Use the family constructors
     :meth:`normal`, :meth:`uniform`, :meth:`trunc_normal` and
     :meth:`trunc_gamma` rather than ``__init__`` directly.
     """
@@ -66,13 +71,20 @@ class Density:
         if family not in FAMILY_PARAMS:
             raise ValueError(f"unknown density family {family!r}")
         self.family = family
-        self.params = dict(params)
+        self._params = MappingProxyType(dict(params))
+        self._key = (family,) + tuple((name, type(v), v)
+                                      for name, v in sorted(self._params.items()))
         self.support = (float(support[0]), float(support[1]))
         if not self.support[0] < self.support[1]:
             raise ValueError(f"empty support {support}")
         self.norm_const = float(norm_const)
         self._cdf_cache = None
         self._moment_cache = {}
+
+    @property
+    def params(self):
+        """The parameters by name, read-only."""
+        return self._params
 
     # -- constructors ------------------------------------------------------
 
@@ -224,6 +236,12 @@ class Density:
         return self._cdf_cache
 
     # -- misc --------------------------------------------------------------
+
+    def __eq__(self, other):
+        return isinstance(other, Density) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         args = ", ".join(f"{k}={v:g}" for k, v in self.params.items())

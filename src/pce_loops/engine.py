@@ -21,10 +21,11 @@ before they are substituted.  A closure and its step map depend only on
 the program's steps and the seed monomials, so one bounded process-wide
 memo, keyed by that content, sits in front of _close: a repeated query or
 schedule body closes nothing again, though a query's first closure costs
-what it did.  The update powers are built once per closure miss and shared
-by all of its sweeps.
+what it did.  A closure miss builds an update's powers when a sweep first
+needs them, and all of its sweeps share them.
 """
 
+import operator
 import os
 import threading
 from collections import OrderedDict
@@ -63,9 +64,8 @@ THREADS_ENV = "PCE_LOOPS_THREADS"
 # time.
 _SWEEP_ROWS = 64
 
-# Expansions in the memo of polynomialize, which maps (function, germ family,
-# germ params, degree, n_nodes) to expand's result; the least recently used
-# goes first.
+# Expansions in the memo of polynomialize, which maps (function, germ,
+# degree, n_nodes) to expand's result; the least recently used goes first.
 _MEMO_EXPANSIONS = 64
 _expansions = OrderedDict()
 _expansions_lock = threading.Lock()
@@ -234,7 +234,8 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     degree and germ set the default expansion config; per_site maps a call
     site index (textual order, as listed by validate_conditions) to a dict
     with optional "degree" and "germ" entries; an entry that names no call
-    site or holds another field is refused.  Stable sites read their germ
+    site or holds another field is refused, and so is a degree that is not
+    an integer (a bool, a float).  Stable sites read their germ
     off the argument's polynomial when it is affine in one draw;
     accumulating sites fall back to the standard normal reference germ.
     """
@@ -259,7 +260,6 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     arity = len(all_vars)
 
     provenance = []
-    site_counter = [0]
 
     def stable_germ(arg_poly):
         # A stable argument holds only draws.  When it is a*w + b for one
@@ -275,28 +275,30 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         d = draw_density[all_vars[exp.index(1)]]
         return d if (a, b) == (1.0, 0.0) else _shifted_density(d, a, b)
 
-    def site_config(site, arg_poly):
-        cfg = per_site.get(site_counter[0], {})
-        deg = int(cfg.get("degree", degree))
+    def replace_call(call, arg_poly):
+        # sites are replaced in textual order, so one record per site so far
+        i = len(provenance)
+        site, cfg = sites[i], per_site.get(i, {})
+        deg = cfg.get("degree", degree)
+        # refuse what operator.index refuses, and a bool, which it takes
+        if isinstance(deg, bool) or not hasattr(type(deg), "__index__"):
+            name = f"per_site entry {i}: degree" if "degree" in cfg else "degree"
+            raise ValueError(f"{name} must be an integer, not {deg!r}")
+        deg = operator.index(deg)
         g = cfg.get("germ", germ)
         if g is None:
             if site["iteration_stable"]:
                 g = stable_germ(arg_poly)
                 if g is None:
                     raise ValueError(
-                        f"call site {site_counter[0]} ({site['function']}({site['argument']})): "
+                        f"call site {i} ({site['function']}({site['argument']})): "
                         "cannot infer a germ from the argument; configure one per site"
                     )
             else:
                 g = Density.of(*DEFAULT_REFERENCE_GERM)
-        return deg, g
-
-    def replace_call(call, arg_poly):
-        site = sites[site_counter[0]]
-        deg, g = site_config(site, arg_poly)
         exp_obj = _expansion(call.fn, g, deg, n_nodes)
         provenance.append({
-            "site": site_counter[0],
+            "site": i,
             "update": site["update"],
             "function": call.fn,
             "argument": site["argument"],
@@ -306,7 +308,6 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
             "coeffs": [float(c) for c in exp_obj.coeffs],
             "se": exp_obj.se,
         })
-        site_counter[0] += 1
         return _compose(exp_obj, arg_poly)
 
     def to_poly(e):
@@ -334,8 +335,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
 
 def _expansion(fn, germ, degree, n_nodes):
     """expand's result for one call site, memoized across calls."""
-    key = (fn,) + _density_key(germ) + (degree, n_nodes)
-    return _memoized(_expansions, _expansions_lock, key,
+    return _memoized(_expansions, _expansions_lock, (fn, germ, degree, n_nodes),
                      lambda: expand(NUMPY_CALLS[fn], germ, (degree,), n_nodes=n_nodes),
                      _MEMO_EXPANSIONS)
 
@@ -425,20 +425,21 @@ def _combine(table, coefs):
 
 
 class _Powers:
-    """The powers of one update polynomial P with the draws folded into it
-    integrated out, stacked: columns first[k]:first[k] + size[k] of table
-    (row field 0) and coefs hold E[P^k] over those draws, from E[P^0] = 1
-    up, and fields lists the fields they hold.  Each P^k is one MultiPoly
-    product of the one below and P; the folded draws are integrated out of
-    all powers an upto call builds at once, with the power as the row
-    field, so that call fetches each raw moment once.  upto only appends,
-    so the sweeps of one closure share the powers the earlier ones built."""
+    """The powers of one update polynomial P, from an assign step's terms
+    and fold (_steps), with the draws folded into it integrated out,
+    stacked: columns first[k]:first[k] + size[k] of table (row field 0) and
+    coefs hold E[P^k] over those draws, from E[P^0] = 1 up, and fields
+    lists the fields they hold.  Each P^k is one MultiPoly product of the
+    one below and P; the folded draws are integrated out of all powers an
+    upto call builds at once, with the power as the row field, so that call
+    fetches each raw moment once.  upto only appends, so the sweeps of one
+    closure share the powers the earlier ones built."""
 
-    def __init__(self, poly, fold):
-        self.poly = poly
+    def __init__(self, arity, terms, fold):
+        self.poly = MultiPoly._trusted(arity, dict(terms))
         self.fold = fold
-        self.fields = sorted(_fields(poly) - {idx for idx, _ in fold})
-        self.table = np.zeros((poly.arity + 1, 1), dtype=np.int64)
+        self.fields = sorted(_fields(self.poly) - {idx for idx, _ in fold})
+        self.table = np.zeros((arity + 1, 1), dtype=np.int64)
         self.coefs = np.ones(1)
         self.first, self.size = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
         self._last = None
@@ -548,10 +549,11 @@ def _folds(pp):
 
 
 def _steps(pp):
-    """The steps a sweep takes, in reverse body order, as their content:
-    ("draw", field, density) integrates a draw, ("assign", field, (poly,
-    fold)) substitutes an update with the draws of fold folded into its
-    powers.  A folded draw takes no step of its own."""
+    """The steps a sweep takes, in reverse body order, as a tuple of their
+    hashable content: ("draw", field, density) integrates a draw, and
+    ("assign", field, terms, fold) substitutes an update, terms being its
+    polynomial's terms in order and fold the (field, density) pairs of the
+    draws folded into its powers.  A folded draw takes no step of its own."""
     if pp.schedule:
         raise ValueError(
             "a scheduled program has one step map per iteration; "
@@ -567,36 +569,21 @@ def _steps(pp):
             if idx not in folded:
                 steps.append((kind, idx, payload))
             continue
-        steps.append((kind, idx, (payload, tuple(folds.get(pos, ())))))
-    return steps
+        steps.append((kind, idx, tuple(payload.terms.items()), tuple(folds.get(pos, ()))))
+    return tuple(steps)
 
 
-def _powered(steps):
-    """steps (_steps) with each update's content replaced by fresh _Powers."""
-    return [(kind, idx, _Powers(*payload) if kind == "assign" else payload)
-            for kind, idx, payload in steps]
-
-
-def _density_key(d):
-    """d's family and parameters, each parameter with its type:
-    Uniform(0, 3) and Uniform(0.0, 3.0) differ in the last bit of some raw
-    moments."""
-    return d.family, tuple((name, type(v), v) for name, v in sorted(d.params.items()))
-
-
-def _powers_key(poly, fold):
-    return (poly.arity, tuple(poly.terms.items()),
-            tuple((i,) + _density_key(d) for i, d in fold))
-
-
-def _sweep(pp, frontier, steps):
+def _sweep(pp, frontier, steps, powers):
     """One-step expectations of a frontier of state monomials, as a table
     and coefficients; row r holds the expectation of frontier[r].
 
-    The whole frontier goes through steps (_powered _steps, reverse body
-    order) at once: an update replaces var^k by E[P^k], the k-th power of its
+    The whole frontier goes through steps (_steps, reverse body order) at
+    once: an update replaces var^k by E[P^k], the k-th power of its
     polynomial with its folded draws integrated out, and a draw left
-    unfolded replaces w^k by E[w^k].  Equal terms are combined after each
+    unfolded replaces w^k by E[w^k].  powers maps a step's position to its
+    update's _Powers; a step that finds none there makes it, so the sweeps
+    that share powers build each update's powers once, and only for the
+    updates whose variable they meet.  Equal terms are combined after each
     step that can make any (_may_merge); otherwise only exact zeros are
     dropped."""
     n = len(frontier)
@@ -605,16 +592,18 @@ def _sweep(pp, frontier, steps):
     table[:k] = np.array(frontier, dtype=np.int64).reshape(n, k).T
     table[-1] = np.arange(n)
     coefs = np.ones(n)
-    for kind, idx, payload in steps:
+    for pos, (kind, idx, *content) in enumerate(steps):
         top = int(table[idx].max(initial=0))
         if not top:
             continue
         if kind == "draw":
-            table, coefs = _combine(*_integrate(table, coefs, idx, payload))
+            table, coefs = _combine(*_integrate(table, coefs, idx, *content))
             continue
-        powers = payload.upto(top)
-        merge = _may_merge(table, idx, powers)
-        table, coefs = _substitute(table, coefs, idx, powers)
+        if pos not in powers:
+            powers[pos] = _Powers(len(pp.all_vars), *content)
+        power = powers[pos].upto(top)
+        merge = _may_merge(table, idx, power)
+        table, coefs = _substitute(table, coefs, idx, power)
         if merge:
             table, coefs = _combine(table, coefs)
         elif not coefs.all():
@@ -633,7 +622,7 @@ def _sweep(pp, frontier, steps):
 def one_step_expectation(pp, monomial):
     """Expectation of a state monomial after one iteration, as a polynomial
     in the previous iteration's state monomials."""
-    table, coefs = _sweep(pp, [tuple(monomial)], _powered(_steps(pp)))
+    table, coefs = _sweep(pp, [tuple(monomial)], _steps(pp), {})
     return MultiPoly._trusted(len(pp.all_vars), dict(zip(map(tuple, table[:-1].T.tolist()),
                                                           coefs.tolist())))
 
@@ -643,14 +632,13 @@ def _close(pp, targets):
     triplets (rows, cols, data) over that order, read-only.
 
     targets are monomial strings or exponent tuples over the state
-    variables.  The result depends only on the steps of the program
-    (_steps) and on the seed set, so one process-wide memo (_closures)
-    holds it under their content: the state and variable counts, each
-    step's kind and field with its update's _powers_key or its draw's
-    _density_key, and the sorted seeds.  Only a miss builds update powers.
-    A hit returns the stored arrays and a fresh list of the order.
-    A closure that raises stores nothing, and the memo holds at most
-    _MEMO_STEP_NONZEROS step nonzeros, least recently used out first."""
+    variables.  The result depends only on the steps of the program and on
+    the seed set, so one process-wide memo (_closures) holds it under the
+    state and variable counts, the steps as _steps gives them, whose
+    densities compare by value, and the sorted seeds.  Only a miss builds
+    update powers.  A hit returns the stored arrays and a fresh list of the
+    order.  A closure that raises stores nothing, and the memo holds at
+    most _MEMO_STEP_NONZEROS step nonzeros, least recently used out first."""
     k = len(pp.state_vars)
     seeds = {(0,) * k}
     for t in targets:
@@ -665,37 +653,34 @@ def _close(pp, targets):
                 seeds.add(tuple(unit))
     seeds = tuple(sorted(seeds))
     steps = _steps(pp)
-    key = (k, len(pp.all_vars),
-           tuple((kind, idx, _powers_key(*payload) if kind == "assign" else _density_key(payload))
-                 for kind, idx, payload in steps),
-           seeds)
-    order, step_map = _memoized(_closures, _closures_lock, key,
-                                lambda: _closure(pp, seeds, _powered(steps)),
+    order, step_map = _memoized(_closures, _closures_lock, (k, len(pp.all_vars), steps, seeds),
+                                lambda: _closure(pp, seeds, steps),
                                 _MEMO_STEP_NONZEROS, weigh=lambda closure: len(closure[1][2]))
     return list(order), step_map
 
 
 def _closure(pp, monomials, steps):
-    """_close's result, built from the sorted seed monomials and the
-    _powered steps of pp.
+    """_close's result, built from the sorted seed monomials and the steps
+    of pp (_steps).
 
     Monomials are numbered as they are met and swept in that order, which is
-    breadth first, _SWEEP_ROWS at a time, all sweeps sharing the update
-    powers of steps; a term's row is its sweep's row field plus
-    the number of the sweep's first monomial, and its column the number of
-    its state exponents, looked up once per distinct exponent column.  Draw
-    exponents are zero after a sweep and are dropped with the table.  A
-    stable sort by row keeps each row's terms in sweep order, so np.bincount
-    adds them in the order MultiPoly arithmetic with the same folded powers
-    would."""
+    breadth first, _SWEEP_ROWS at a time, all sweeps sharing one map of
+    update powers, each built when a sweep first needs it; a term's row is
+    its sweep's row field plus the number of the sweep's first monomial,
+    and its column the number of its state exponents, looked up once per
+    distinct exponent column.  Draw exponents are zero after a sweep and
+    are dropped with the table.  A stable sort by row keeps each row's terms
+    in sweep order, so np.bincount adds them in the order MultiPoly
+    arithmetic with the same folded powers would."""
     k = len(pp.state_vars)
     monomials = list(monomials)
     number = {m: i for i, m in enumerate(monomials)}
     rows, cols, data = [], [], []
+    powers = {}
     swept = 0
     while swept < len(monomials):
         block = monomials[swept:swept + _SWEEP_ROWS]
-        table, coefs = _sweep(pp, block, steps)
+        table, coefs = _sweep(pp, block, steps, powers)
         group, pick = _first_occurrences(table[:k])
         met = []
         for m in map(tuple, table[:k, pick].T.tolist()):

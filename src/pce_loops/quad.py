@@ -8,10 +8,11 @@ cuts an n-node rule, exact to degree 2n - 1, from the first n rows with one
 kernel, dist._golub_welsch: the nodes are the Jacobi matrix's eigenvalues
 (Golub-Welsch, no eigenvectors) and the weights the Christoffel numbers
 1 / sum_{j<n} p_j(node)^2 from the recurrence, which keep tiny tail weights
-accurate.  Rows and rules of recent densities are memoized: Stieltjes runs
-row by row, so the first n rows of a longer run, and the rule cut from
-them, are bitwise those of a run to n.  Only the standard members N(0, 1)
-(on +-10) and U(-1, 1) of the location-scale families, and the other
+accurate.  Rows and rules of recent densities are memoized, keyed by the
+density itself (densities compare by value): Stieltjes runs row by row, so
+the first n rows of a longer run, and the rule cut from them, are bitwise
+those of a run to n.  Only the standard members N(0.0, 1.0) (on +-10) and
+U(-1.0, 1.0) of the location-scale families, and the other
 families' densities, get rows and rules of their own; U(-1, 1) takes
 Legendre's rows in closed form, so N(0, 1), TruncNormal and TruncGamma are
 the densities that get a Stieltjes run.  Any other Normal or Uniform is the
@@ -50,7 +51,7 @@ _BACKBONE_PANELS = 80
 # a pass keeps a few slabs of this size live, never the whole grid.
 _SLAB_POINTS = 2**16
 
-# Densities in the memo, which maps a density key to [alphas, offdiag,
+# Densities in the memo, which maps a density to [alphas, offdiag,
 # {n_nodes: read-only (nodes, weights)}]; the least recently used goes first.
 _MEMO_DENSITIES = 32
 _memo = OrderedDict()
@@ -132,9 +133,8 @@ def _recurrence_coefficients(pts, mass, n):
 
 def _memo_entry(density, n_rows):
     """The density's memo entry, with at least n_rows rows; hold _memo_lock."""
-    key = _key(density)
-    entry = _memo.setdefault(key, [(), (), {}])
-    _memo.move_to_end(key)
+    entry = _memo.setdefault(density, [(), (), {}])
+    _memo.move_to_end(density)
     if len(_memo) > _MEMO_DENSITIES:
         _memo.popitem(last=False)
     if len(entry[0]) < n_rows:
@@ -150,16 +150,12 @@ def _memo_entry(density, n_rows):
     return entry
 
 
-def _key(density):
-    return (density.family, tuple(sorted(density.params.items())), density.support)
-
-
 def _mapped(density):
     """(standard, loc, scale) of a Normal or Uniform other than its family's
     standard member, whose rows and rules are mapped from the standard's;
     None for every other density."""
     mapped = location_scale(density)
-    if mapped is None or _key(mapped[0]) == _key(density):
+    if mapped is None or mapped[0] == density:
         return None
     return mapped
 

@@ -148,6 +148,22 @@ def test_dict_round_trip():
         assert d2.params == d.params
 
 
+def test_densities_compare_by_value():
+    for build in (lambda: Density.normal(0.5, 2.0), lambda: Density.uniform(0, 3),
+                  lambda: Density.trunc_gamma(2.0, 1.5, 0.0, 4.0)):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+    # equal parameters of another type are another density
+    assert Density.uniform(0, 3) != Density.uniform(0.0, 3.0)
+    assert Density.normal(0.0, 1.0) != Density.uniform(0.0, 1.0)
+    d = Density.uniform(0.0, 3.0)
+    with pytest.raises(TypeError):
+        d.params["b"] = 4.0
+    with pytest.raises(AttributeError):
+        d.params = {"a": 0.0, "b": 4.0}
+    assert d == Density.uniform(0.0, 3.0) and d.params == {"a": 0.0, "b": 3.0}
+
+
 def test_density_from_dict_rejects_unknown_family():
     with pytest.raises(ValueError):
         density_from_dict({"family": "Cauchy", "x0": 0, "gamma": 1})

@@ -203,16 +203,26 @@ def test_stable_site_without_inferable_germ_raises():
 
 
 def test_per_site_degree_override():
-    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=3,
-                       per_site={1: {"degree": 7}})
-    assert pp.provenance[0]["degree"] == 3
-    assert pp.provenance[1]["degree"] == 7
-    # an entry that configures nothing is refused, naming itself
-    for per_site, match in (({-1: {"degree": 7}}, "per_site entry -1 names no call site"),
-                            ({7: {"degree": 7}}, "per_site entry 7 names no call site"),
-                            ({0: {"degre": 9}}, "per_site entry 0: unknown field 'degre'")):
+    prog = parse_file(program_path("turning.ppl"))
+    for degree, site_degree in ((3, 7), (np.int64(3), np.int64(7))):
+        pp = polynomialize(prog, degree=degree, per_site={1: {"degree": site_degree}})
+        assert [p["degree"] for p in pp.provenance] == [3, 7]
+        assert all(type(p["degree"]) is int for p in pp.provenance)
+    # an entry that configures nothing is refused, naming itself, and so is
+    # a degree that is not an integer, naming its site or the default
+    for config, match in (({"per_site": {-1: {"degree": 7}}},
+                           "per_site entry -1 names no call site"),
+                          ({"per_site": {7: {"degree": 7}}}, "per_site entry 7 names no call site"),
+                          ({"per_site": {0: {"degre": 9}}},
+                           "per_site entry 0: unknown field 'degre'"),
+                          ({"per_site": {0: {"degree": 2.7}}},
+                           "per_site entry 0: degree must be an integer, not 2.7"),
+                          ({"degree": 3.9}, "degree must be an integer, not 3.9"),
+                          ({"degree": True}, "degree must be an integer, not True")):
         with pytest.raises(ValueError, match=re.escape(match)):
-            polynomialize(parse_file(program_path("turning.ppl")), degree=3, per_site=per_site)
+            polynomialize(prog, **{"degree": 3, **config})
+    with pytest.raises(ValueError, match=re.escape("degree must be an integer, not 8.0")):
+        lagrange_schedule(parse(DRIFT), 0, 2, [Density.normal(0.0, 1.0)] * 2, degree=8.0)
 
 
 def test_propagation_matches_simulation():
@@ -949,7 +959,7 @@ def expand_calls(monkeypatch):
     real_expand = engine.expand
 
     def counted(g, germ, degrees, n_nodes):
-        calls.append((g,) + engine._density_key(germ) + (degrees, n_nodes))
+        calls.append((g, germ, degrees, n_nodes))
         return real_expand(g, germ, degrees, n_nodes=n_nodes)
 
     monkeypatch.setattr(engine, "_expansions", OrderedDict())
@@ -994,14 +1004,14 @@ def test_expansion_memo_is_bounded(expand_calls, monkeypatch):
     assert len(expand_calls) == 6
     assert len(engine._expansions) == 3
     # the least recently used goes first, and a hit counts as a use
-    def params():
-        return [key[2] for key in engine._expansions]
+    def held():
+        return [key[1] for key in engine._expansions]
 
-    assert params() == [call[2] for call in expand_calls[3:]]
+    assert held() == [call[1] for call in expand_calls[3:]]
     polynomialize(parse(DRIFT), degree=4, germ=germs[3])
     polynomialize(parse(DRIFT), degree=4, germ=germs[0])
     assert len(expand_calls) == 7
-    assert params() == [expand_calls[i][2] for i in (5, 3, 6)]
+    assert held() == [expand_calls[i][1] for i in (5, 3, 6)]
     assert propagate(pp, ["x"], 6).values.tobytes() == propagate(
         lagrange_schedule(parse(DRIFT), 0, 6, germs, degree=4), ["x"], 6).values.tobytes()
 
@@ -1039,9 +1049,9 @@ def powers_built(monkeypatch, no_closures):
     built = []
 
     class Counted(engine._Powers):
-        def __init__(self, poly, fold):
+        def __init__(self, arity, terms, fold):
             built.append(self)
-            super().__init__(poly, fold)
+            super().__init__(arity, terms, fold)
 
     monkeypatch.setattr(engine, "_Powers", Counted)
     return built
@@ -1065,22 +1075,43 @@ def test_closure_hit_builds_no_powers(powers_built):
     assert again.values.tobytes() == first.values.tobytes()
 
 
+def _recorded_sweeps(monkeypatch):
+    """The list of (frontier size, steps, powers) of each _sweep since."""
+    swept = []
+    real = engine._sweep
+    monkeypatch.setattr(engine, "_sweep", lambda pp, frontier, steps, powers: swept.append(
+        (len(frontier), steps, powers)) or real(pp, frontier, steps, powers))
+    return swept
+
+
 def test_closure_miss_shares_its_powers_across_sweeps(powers_built, monkeypatch):
     """The degree-9 x^2*y^2 closure holds 314 monomials, swept as they are
     met, at most 64 at a time: its miss builds one _Powers per update step,
     and all six sweeps use them."""
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
-    swept = []
-    real = engine._sweep
-    monkeypatch.setattr(engine, "_sweep", lambda pp, frontier, steps: swept.append(
-        (len(frontier), steps)) or real(pp, frontier, steps))
+    swept = _recorded_sweeps(monkeypatch)
     order, _ = engine._close(pp, ["x^2*y^2"])
     assert len(order) == 314
-    assert [n for n, _ in swept] == [4, 64, 64, 64, 64, 54]
-    steps = swept[0][1]
-    assert all(s is steps for _, s in swept)
-    assert [p for kind, _, p in steps if kind == "assign"] == powers_built
+    assert [n for n, _, _ in swept] == [4, 64, 64, 64, 64, 54]
+    _, steps, powers = swept[0]
+    assert all(s is steps and p is powers for _, s, p in swept)
+    assert list(powers.values()) == powers_built
     assert len(powers_built) == 4
+
+
+@pytest.mark.parametrize("target, updates", [("x", {"x", "v", "psi"}), ("v", {"v"}),
+                                             ("x^2*y^2", {"x", "y", "v", "psi"})])
+def test_closure_miss_builds_powers_only_for_updates_it_meets(powers_built, monkeypatch,
+                                                              target, updates):
+    """y's update is never swept for target x, nor any but v's for v, so
+    their powers are never built; each one built holds at least P^1."""
+    pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
+    swept = _recorded_sweeps(monkeypatch)
+    engine._close(pp, [target])
+    _, steps, powers = swept[0]
+    assert {pp.all_vars[steps[pos][1]] for pos in powers} == updates
+    assert list(powers.values()) == powers_built
+    assert all(len(p.size) > 1 for p in powers_built)
 
 
 def test_concurrent_propagate_matches_a_serial_run(no_closures):

@@ -123,6 +123,7 @@ def test_memoized_rule_is_bitwise_fresh_and_read_only():
     again = build_rule(twin, 64)  # a second Density with equal params hits the memo
     assert again.target is twin
     assert again.nodes is cut.nodes and again.weights is cut.weights
+    assert list(quad._memo) == [twin]
     for r in (cut, again):
         assert r.nodes.tobytes() == fresh.nodes.tobytes()
         assert r.weights.tobytes() == fresh.weights.tobytes()
@@ -130,6 +131,21 @@ def test_memoized_rule_is_bitwise_fresh_and_read_only():
             r.nodes[0] = 0.0
         with pytest.raises(ValueError):
             r.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("spec, entries", [(("Normal", 0, 1), 2), (("Uniform", -1, 1), 2),
+                                           (("Uniform", 2, 5), 3),
+                                           (("TruncNormal", 0, 1, -1, 2), 2)])
+def test_integer_parameters_take_their_own_memo_entry(spec, entries):
+    """A density with integer parameters is not its float twin, so it takes
+    an entry of its own (Uniform(2, 5) and its twin both map from U(-1.0,
+    1.0)), and its rule is bitwise the twin's."""
+    quad._memo.clear()
+    family, *params = spec
+    rules = [build_rule(Density.of(family, *p), 16) for p in (params, map(float, params))]
+    assert len(quad._memo) == entries
+    for a in ("nodes", "weights"):
+        assert getattr(rules[0], a).tobytes() == getattr(rules[1], a).tobytes()
 
 
 def test_memo_keeps_a_bounded_number_of_densities():
