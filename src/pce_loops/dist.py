@@ -55,36 +55,57 @@ def _normal_logpdf(x, mu, sigma):
 
 
 class Density:
-    """One continuous univariate distribution, compared by value.
-
-    Two densities are equal, and hash alike, when they have the same family
-    and the same parameters, each of the same type: Uniform(-1, 5) and
-    Uniform(-1.0, 5.0) differ in the last bit of their 22nd raw moment, so
-    they are different densities.  params is a read-only mapping that
-    cannot be rebound, so a density cannot change after a memo was keyed
-    on it, and instances are safe to share.  Use the family constructors
-    :meth:`normal`, :meth:`uniform`, :meth:`trunc_normal` and
-    :meth:`trunc_gamma` rather than ``__init__`` directly.
+    """One continuous univariate distribution, a value: its family and its
+    parameters.  The constructor checks each parameter (a finite int or
+    float, not a bool, in its family's range) and works out the support
+    (mu +- NORMAL_CUTOFF_SIGMAS sigma for a Normal, else [a, b]) and
+    norm_const.  None of family, params, support and norm_const can be
+    rebound or deleted, and a density pickles as (family, params), so all
+    that is computed from it, memos keyed on it included, follows from its
+    value.  Two densities are equal, and hash alike, when their families
+    and parameters are, each parameter of the same type: Uniform(-1, 5) and
+    Uniform(-1.0, 5.0) differ in the last bit of their 22nd raw moment.
     """
 
-    def __init__(self, family, params, support, norm_const=1.0):
-        if family not in FAMILY_PARAMS:
-            raise ValueError(f"unknown density family {family!r}")
-        self.family = family
-        self._params = MappingProxyType(dict(params))
-        self._key = (family,) + tuple((name, type(v), v)
-                                      for name, v in sorted(self._params.items()))
-        self.support = (float(support[0]), float(support[1]))
-        if not self.support[0] < self.support[1]:
-            raise ValueError(f"empty support {support}")
-        self.norm_const = float(norm_const)
-        self._cdf_cache = None
-        self._moment_cache = {}
+    def __init__(self, family, params):
+        names = _names(family)
+        for name in names:
+            if name not in params:
+                raise ValueError(f"missing parameter {name!r} for family {family}")
+        if len(params) != len(names):
+            raise ValueError(f"{family} takes only the parameters {', '.join(names)}")
+        p = {name: _finite(family, name, params[name]) for name in names}
+        if "sigma" in p and not p["sigma"] > 0:
+            raise ValueError("sigma must be positive")
+        if family == "TruncGamma" and not (p["k"] > 0 and p["theta"] > 0 and p["a"] >= 0):
+            raise ValueError("need k > 0, theta > 0 and a >= 0")
+        if "a" in p and not p["a"] < p["b"]:
+            raise ValueError("need a < b")
+        if family == "Normal":
+            half = NORMAL_CUTOFF_SIGMAS * p["sigma"]
+            support = (float(p["mu"] - half), float(p["mu"] + half))
+        else:
+            support = (float(p["a"]), float(p["b"]))
+        if not -math.inf < support[0] < support[1] < math.inf:
+            raise ValueError(f"support {support} is empty or unbounded in floats")
+        # raw moments and the sampling table are computed once per instance
+        fields = vars(self)
+        fields.update(family=family, params=MappingProxyType(p), support=support, norm_const=1.0,
+                      _key=(family,) + tuple((n, type(v), v) for n, v in sorted(p.items())),
+                      _moment_cache={})
+        if family in ("TruncNormal", "TruncGamma"):
+            mass = _panel_integral(self._base_pdf, *support)
+            if not 0.0 < mass < math.inf:
+                raise ValueError(f"{self!r} has no mass in floats on {support}")
+            fields["norm_const"] = 1.0 / mass
 
-    @property
-    def params(self):
-        """The parameters by name, read-only."""
-        return self._params
+    def _read_only(self, name, *value):
+        raise AttributeError(f"a Density is read-only; cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return Density, (self.family, dict(self.params))
 
     # -- constructors ------------------------------------------------------
 
@@ -92,11 +113,10 @@ class Density:
     def of(cls, family, *params):
         """The `family` density with `params` in FAMILY_PARAMS order, e.g.
         ``Density.of("Uniform", 1.0, 2.0)``."""
-        build = {"Normal": cls.normal, "Uniform": cls.uniform,
-                 "TruncNormal": cls.trunc_normal, "TruncGamma": cls.trunc_gamma}
-        if not isinstance(family, str) or family not in build:
-            raise ValueError(f"unknown density family {family!r}")
-        return build[family](*params)
+        names = _names(family)
+        if len(params) != len(names):
+            raise ValueError(f"{family} takes {len(names)} parameters, not {len(params)}")
+        return cls(family, dict(zip(names, params)))
 
     @classmethod
     def normal(cls, mu, sigma):
@@ -106,37 +126,19 @@ class Density:
         on this density is Hermite's, above that it is this truncated
         normal's (at degree 30 the recurrence coefficient b_j is 10% below
         sqrt(j))."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        lo = mu - NORMAL_CUTOFF_SIGMAS * sigma
-        hi = mu + NORMAL_CUTOFF_SIGMAS * sigma
-        return cls("Normal", {"mu": mu, "sigma": sigma}, (lo, hi))
+        return cls.of("Normal", mu, sigma)
 
     @classmethod
     def uniform(cls, a, b):
-        if not a < b:
-            raise ValueError("need a < b")
-        return cls("Uniform", {"a": a, "b": b}, (a, b))
+        return cls.of("Uniform", a, b)
 
     @classmethod
     def trunc_normal(cls, mu, sigma, a, b):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not a < b:
-            raise ValueError("need a < b")
-        d = cls("TruncNormal", {"mu": mu, "sigma": sigma, "a": a, "b": b}, (a, b))
-        d.norm_const = d._compute_norm_const()
-        return d
+        return cls.of("TruncNormal", mu, sigma, a, b)
 
     @classmethod
     def trunc_gamma(cls, k, theta, a, b):
-        if k <= 0 or theta <= 0:
-            raise ValueError("shape and scale must be positive")
-        if not 0 <= a < b:
-            raise ValueError("need 0 <= a < b")
-        d = cls("TruncGamma", {"k": k, "theta": theta, "a": a, "b": b}, (a, b))
-        d.norm_const = d._compute_norm_const()
-        return d
+        return cls.of("TruncGamma", k, theta, a, b)
 
     # -- core --------------------------------------------------------------
 
@@ -163,10 +165,6 @@ class Density:
         val = self.norm_const * self._base_pdf(np.where(inside, x, self.support[0]))
         result = np.where(inside, val, 0.0)
         return float(result) if result.ndim == 0 else result
-
-    def _compute_norm_const(self):
-        mass = _panel_integral(self._base_pdf, *self.support)
-        return 1.0 / mass
 
     def raw_moment(self, k):
         """E[X^k] by quadrature.  raw_moment(0) is exactly 1.  Each order is
@@ -215,25 +213,24 @@ class Density:
             return rng.normal(p["mu"], p["sigma"], size)
         if self.family == "Uniform":
             return rng.uniform(p["a"], p["b"], size)
-        grid, cdf = self._cdf_table()
+        grid, cdf = self._cdf_table
         u = rng.uniform(0.0, 1.0, size)
         return np.interp(u, cdf, grid)
 
-    def _cdf_table(self, resolution=4096):
+    @functools.cached_property
+    def _cdf_table(self):
         """Monotone (grid, cdf) table for inverse-cdf sampling."""
-        if self._cdf_cache is None:
-            a, b = self.support
-            grid = np.linspace(a, b, resolution + 1)
-            mid = 0.5 * (grid[1:] + grid[:-1])
-            # Simpson on each cell: (f(a) + 4 f(m) + f(b)) h / 6
-            fa = self.pdf(grid[:-1])
-            fm = self.pdf(mid)
-            fb = self.pdf(grid[1:])
-            cell = (fa + 4.0 * fm + fb) * np.diff(grid) / 6.0
-            cdf = np.concatenate([[0.0], np.cumsum(cell)])
-            cdf /= cdf[-1]
-            self._cdf_cache = (grid, cdf)
-        return self._cdf_cache
+        a, b = self.support
+        grid = np.linspace(a, b, 4096 + 1)
+        mid = 0.5 * (grid[1:] + grid[:-1])
+        # Simpson on each cell: (f(a) + 4 f(m) + f(b)) h / 6
+        fa = self.pdf(grid[:-1])
+        fm = self.pdf(mid)
+        fb = self.pdf(grid[1:])
+        cell = (fa + 4.0 * fm + fb) * np.diff(grid) / 6.0
+        cdf = np.concatenate([[0.0], np.cumsum(cell)])
+        cdf /= cdf[-1]
+        return grid, cdf
 
     # -- misc --------------------------------------------------------------
 
@@ -259,24 +256,28 @@ def density_from_dict(spec):
     if not isinstance(spec, dict):
         raise ValueError(f"a density is a JSON object, not {spec!r}")
     family = spec.get("family")
+    return Density(family, {n: spec[n] for n in _names(family) if n in spec})
+
+
+def _names(family):
+    """The parameter names of `family`; ValueError for an unknown family."""
     if not isinstance(family, str) or family not in FAMILY_PARAMS:
         raise ValueError(f"unknown density family {family!r}")
-    params = []
-    for name in FAMILY_PARAMS[family]:
-        if name not in spec:
-            raise ValueError(f"missing parameter {name!r} for family {family}")
-        value = spec[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"parameter {name!r} of {family} must be a number, not {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise ValueError(f"parameter {name!r} of {family} is an integer too large "
-                             "for a float") from None
-        if not finite:
-            raise ValueError(f"parameter {name!r} of {family} must be finite, not {value!r}")
-        params.append(value)
-    return Density.of(family, *params)
+    return FAMILY_PARAMS[family]
+
+
+def _finite(family, name, value):
+    """value, if it is a finite int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"parameter {name!r} of {family} must be a number, not {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"parameter {name!r} of {family} is an integer too large "
+                         "for a float") from None
+    if not finite:
+        raise ValueError(f"parameter {name!r} of {family} must be finite, not {value!r}")
+    return value
 
 
 def location_scale(density):
@@ -328,22 +329,13 @@ class RandomVector:
 
 
 def _normal_raw_moment(mu, sigma, k):
-    """E[X^k] for X ~ N(mu, sigma^2) via the binomial/central-moment sum."""
+    """E[X^k] for X ~ N(mu, sigma^2) via the binomial/central-moment sum:
+    odd central moments vanish, the j-th even one is (j - 1)!! sigma^j."""
     total = 0.0
-    for j in range(k + 1):
-        if j % 2:
-            continue  # odd central moments vanish
-        central = _double_factorial(j - 1) * sigma**j if j else 1.0
+    for j in range(0, k + 1, 2):
+        central = math.prod(range(j - 1, 0, -2)) * sigma**j if j else 1.0
         total += math.comb(k, j) * central * mu ** (k - j)
     return total
-
-
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 # -- Gauss rules from a three-term recurrence ------------------------------

@@ -25,7 +25,6 @@ what it did.  A closure miss builds an update's powers when a sweep first
 needs them, and all of its sweeps share them.
 """
 
-import operator
 import os
 import threading
 from collections import OrderedDict
@@ -36,6 +35,7 @@ from .dist import Density, from_location_scale, location_scale
 from .lang import (
     NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
 )
+from .orthopoly import _degree
 from .pce import expand
 from .poly import MultiPoly
 from .quad import DEFAULT_NODES
@@ -279,12 +279,8 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         # sites are replaced in textual order, so one record per site so far
         i = len(provenance)
         site, cfg = sites[i], per_site.get(i, {})
-        deg = cfg.get("degree", degree)
-        # refuse what operator.index refuses, and a bool, which it takes
-        if isinstance(deg, bool) or not hasattr(type(deg), "__index__"):
-            name = f"per_site entry {i}: degree" if "degree" in cfg else "degree"
-            raise ValueError(f"{name} must be an integer, not {deg!r}")
-        deg = operator.index(deg)
+        deg = _degree(cfg.get("degree", degree),
+                      f"per_site entry {i}: degree" if "degree" in cfg else "degree")
         g = cfg.get("germ", germ)
         if g is None:
             if site["iteration_stable"]:

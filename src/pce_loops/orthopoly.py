@@ -12,6 +12,7 @@ estimators.  Each b_j > 0, so every leading coefficient is positive.
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -79,6 +80,14 @@ def _raw_polys(alphas, offdiag):
     return [UniPoly(coef[j, : j + 1]) for j in range(d1)]
 
 
+def _degree(value, name="degree"):
+    """value as an int, refusing what operator.index refuses and a bool,
+    which it takes; the ValueError calls the value `name`."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 def _basis(density, max_degree):
     """The basis from the density's recurrence, unchecked (gram_residual nan)."""
     return OrthonormalBasis(density, *_rows(density, max_degree + 1), math.nan)
@@ -92,6 +101,7 @@ def gram_schmidt(density, max_degree, n_nodes=None):
     (n_nodes <= max_degree).  pce.expand passes its projection rule's size;
     the default, twice the default node count, serves direct callers only.
     """
+    max_degree = _degree(max_degree, "max_degree")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if n_nodes is None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import quad
 from .dist import Density, RandomVector
-from .orthopoly import _basis, gram_schmidt
+from .orthopoly import _basis, _degree, gram_schmidt
 from .poly import MultiPoly
 from .quad import DEFAULT_NODES, build_rule
 
@@ -54,7 +54,7 @@ class DegreeMatrix:
     __slots__ = ("degrees", "rows")
 
     def __init__(self, degrees):
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(_degree(d) for d in degrees)
         if any(d < 0 for d in self.degrees):
             raise ValueError("degrees must be nonnegative")
         L = 1
@@ -226,11 +226,10 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
     """
     if isinstance(germs, Density):
         germs = RandomVector([germs])
-    degrees = tuple(int(d) for d in degrees)
-    if len(degrees) != len(germs):
-        raise ValueError(f"{len(degrees)} degrees for {len(germs)} germs")
     D = DegreeMatrix(degrees)
-    bases = _bases(germs, degrees, n_nodes)
+    if D.k != len(germs):
+        raise ValueError(f"{D.k} degrees for {len(germs)} germs")
+    bases = _bases(germs, D.degrees, n_nodes)
     rules = [build_rule(d, n_nodes) for d in germs]
     mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
     by_last, by_first = _evaluations(g, rules)

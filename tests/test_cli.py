@@ -305,6 +305,12 @@ def test_parse_missing_and_malformed_files(tmp_path, capsys):
     code, _, err = run(["parse", str(bad)], capsys)
     assert code == 1
     assert err == "pce-loops: parse error: line 3, column 12: unexpected character '\u00b2'\n"
+    # a parameter that overflows to inf is a parse error too, not a nan table
+    bad.write_text("x = 0\nwhile true {\n w = Uniform(0, 1e999)\n x := x + w\n}\n")
+    code, out, err = run(["moments", str(bad), "--n", "3", "--degrees", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("pce-loops: parse error: line 3, column 6: bad Uniform parameters: "
+                   "parameter 'b' of Uniform must be finite, not inf\n")
 
 
 def test_tau_constant_reaches_the_program(tmp_path, capsys):

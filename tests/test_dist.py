@@ -1,12 +1,16 @@
 """Density constructors, moments and sampling."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pce_loops import dist
+from pce_loops.bench import program_path
 from pce_loops.dist import Density, RandomVector, density_from_dict
+from pce_loops.lang import DistDraw, parse_file
 
 
 def _phi(z):
@@ -148,6 +152,24 @@ def test_dict_round_trip():
         assert d2.params == d.params
 
 
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_densities_and_programs_copy_as_family_and_parameters(copy_of):
+    program = parse_file(program_path("turning.ppl"))
+    again = copy_of(program)
+    assert again.inits == program.inits and again.body == program.body
+    pairs = [(d, copy_of(d)) for d in (Density.normal(1.5, 0.7), Density.uniform(1, 2),
+                                       Density.trunc_normal(2.0, 0.1, 1.0, 3.0),
+                                       Density.trunc_gamma(2.0, 1.5, 0.5, 4.0))]
+    pairs += [(u.density, v.density) for u, v in zip(program.body, again.body)
+              if isinstance(u, DistDraw)]
+    pairs += [(i.value, j.value) for i, j in zip(program.inits, again.inits)]
+    for d, c in pairs:
+        assert c is not d and c == d and c.params == d.params
+        assert c.support == d.support and c.norm_const == d.norm_const
+        assert c.raw_moment(4) == d.raw_moment(4)
+
+
 def test_densities_compare_by_value():
     for build in (lambda: Density.normal(0.5, 2.0), lambda: Density.uniform(0, 3),
                   lambda: Density.trunc_gamma(2.0, 1.5, 0.0, 4.0)):
@@ -162,6 +184,22 @@ def test_densities_compare_by_value():
     with pytest.raises(AttributeError):
         d.params = {"a": 0.0, "b": 4.0}
     assert d == Density.uniform(0.0, 3.0) and d.params == {"a": 0.0, "b": 3.0}
+    # nothing outside the value can be written, rebound or deleted either
+    t = Density.trunc_normal(0.0, 1.0, -1.0, 2.0)
+    for name in ("family", "params", "support", "norm_const"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, getattr(t, name))
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.norm_const *= 2
+    with pytest.raises(AttributeError):
+        t.support = (-1.0, 5.0)
+    fresh = Density.trunc_normal(0.0, 1.0, -1.0, 2.0)
+    assert t.support == fresh.support == (-1.0, 2.0) and t.norm_const == fresh.norm_const
+    # and the constructor takes the family and its parameters, nothing else
+    with pytest.raises(TypeError):
+        Density("Normal", {"mu": 0.0, "sigma": 1.0}, (-1.0, 1.0))
 
 
 def test_density_from_dict_rejects_unknown_family():
@@ -193,6 +231,15 @@ def test_family_table_gives_constructor_parameter_order():
     ({"family": "Uniform", "a": "0", "b": 1}, "'a' of Uniform must be a number"),
     ({"family": "TruncGamma", "k": 1, "theta": [3], "a": 0.5, "b": 1},
      "'theta' of TruncGamma must be a number"),
+    ({"family": "Normal", "mu": 0, "sigma": 0}, "sigma must be positive"),
+    ({"family": "Uniform", "a": 1, "b": 1.0}, "need a < b"),
+    ({"family": "TruncGamma", "k": 1, "theta": 3, "a": -0.5, "b": 1},
+     "need k > 0, theta > 0 and a >= 0"),
+    ({"family": "TruncGamma", "k": 1, "theta": 0.0, "a": 0.5, "b": 1},
+     "need k > 0, theta > 0 and a >= 0"),
+    ({"family": "Normal", "mu": 0, "sigma": 1e308}, "empty or unbounded"),
+    ({"family": "Uniform", "a": 10**20, "b": 10**20 + 1}, "empty or unbounded"),
+    ({"family": "TruncNormal", "mu": 0, "sigma": 1, "a": 100, "b": 200}, "has no mass"),
 ])
 def test_density_from_dict_rejects_malformed_specs(spec, message):
     with pytest.raises(ValueError, match=message):
@@ -224,6 +271,23 @@ def test_density_of_rejects_unknown_family():
     for family in ("Cauchy", "normal", ["Normal"], None):
         with pytest.raises(ValueError, match="unknown density family"):
             Density.of(family, 0.0, 1.0)
+        with pytest.raises(ValueError, match="unknown density family"):
+            Density(family, {"mu": 0.0, "sigma": 1.0})
+
+
+def test_densities_take_exactly_their_family_parameters():
+    with pytest.raises(ValueError, match="Normal takes 2 parameters, not 1"):
+        Density.of("Normal", 0.0)
+    with pytest.raises(ValueError, match="Uniform takes 2 parameters, not 3"):
+        Density.of("Uniform", 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="missing parameter 'sigma' for family Normal"):
+        Density("Normal", {"mu": 0.0})
+    with pytest.raises(ValueError, match="Normal takes only the parameters mu, sigma"):
+        Density("Normal", {"mu": 0.0, "sigma": 1.0, "nu": 3.0})
+    # parameters are stored in the family's order, whatever order they came in
+    d = Density("TruncGamma", {"b": 4.0, "a": 0.5, "theta": 1.5, "k": 2.0})
+    assert list(d.params) == ["k", "theta", "a", "b"]
+    assert d == Density.trunc_gamma(2.0, 1.5, 0.5, 4.0)
 
 
 def test_random_vector_sampling():

@@ -28,7 +28,8 @@ from pce_loops.engine import (
     simulate,
 )
 from pce_loops.lang import Assign, BinOp, Const, DistDraw, Init, LoopProgram, Var, parse, parse_file
-from pce_loops.pce import expand
+from pce_loops.orthopoly import gram_schmidt
+from pce_loops.pce import DegreeMatrix, expand
 from pce_loops.poly import MultiPoly
 
 COUNTER = "c = 0\nwhile true {\n c := c + 1\n}"
@@ -223,6 +224,18 @@ def test_per_site_degree_override():
             polynomialize(prog, **{"degree": 3, **config})
     with pytest.raises(ValueError, match=re.escape("degree must be an integer, not 8.0")):
         lagrange_schedule(parse(DRIFT), 0, 2, [Density.normal(0.0, 1.0)] * 2, degree=8.0)
+    # expand, DegreeMatrix and gram_schmidt make the same check
+    germ = Density.normal(0.0, 1.0)
+    refused = [(lambda: expand(np.exp, germ, (2.7,)), "degree must be an integer, not 2.7"),
+               (lambda: DegreeMatrix((True, 2.5)), "degree must be an integer, not True"),
+               (lambda: DegreeMatrix((1, 2.5)), "degree must be an integer, not 2.5"),
+               (lambda: gram_schmidt(germ, True), "max_degree must be an integer, not True"),
+               (lambda: gram_schmidt(germ, 2.5), "max_degree must be an integer, not 2.5")]
+    for call, match in refused:
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+    assert DegreeMatrix((np.int64(1), 2)).degrees == (1, 2)
+    assert gram_schmidt(germ, np.int64(2)).max_degree == 2
 
 
 def test_propagation_matches_simulation():

@@ -147,6 +147,11 @@ def test_error_distribution_arity_and_params():
         parse("x = Normal(1)\nwhile true { x := x }")
     with pytest.raises(ParseError, match="bad Uniform parameters"):
         parse("x = Uniform(2, 1)\nwhile true { x := x }")
+    # a literal that overflows to inf is refused where it stands
+    with pytest.raises(ParseError, match="bad Uniform parameters: parameter 'b' of Uniform "
+                                         "must be finite, not inf") as exc:
+        parse("x = 0\nwhile true {\n w = Uniform(0, 1e999)\n x := x + w\n}")
+    assert (exc.value.line, exc.value.col) == (3, 6)
     with pytest.raises(ParseError, match="unknown distribution"):
         parse("x = Cauchy(0, 1)\nwhile true { x := x }")
 

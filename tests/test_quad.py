@@ -1,6 +1,8 @@
 """Gauss rules against arbitrary densities and tensor-grid integration."""
 
+import copy
 import math
+import pickle
 import re
 from collections import OrderedDict
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 from pce_loops import dist, orthopoly, quad
-from pce_loops.dist import Density, location_scale
+from pce_loops.dist import Density, density_from_dict, location_scale
+from pce_loops.lang import parse
 from pce_loops.orthopoly import gram_schmidt
 from pce_loops.pce import expand
 from pce_loops.quad import build_rule, convergence_report, integrate
@@ -131,6 +134,28 @@ def test_memoized_rule_is_bitwise_fresh_and_read_only():
             r.nodes[0] = 0.0
         with pytest.raises(ValueError):
             r.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Density("Normal", {"sigma": 1.0, "mu": 0.0}),
+    lambda: Density.of("Normal", 0.0, 1.0),
+    lambda: density_from_dict({"family": "Normal", "mu": 0.0, "sigma": 1.0, "a": -1.0, "b": 1.0}),
+    lambda: pickle.loads(pickle.dumps(Density.normal(0.0, 1.0))),
+    lambda: copy.deepcopy(Density.normal(0.0, 1.0)),
+    lambda: parse("x = Normal(0, 1)\nwhile true { x := x }").inits[0].value,
+], ids=["init", "of", "dict", "pickle", "deepcopy", "dsl"])
+def test_every_path_to_a_density_keys_the_memo_with_its_own_rule(build):
+    """Whichever way a density equal to N(0, 1) is built, its memo entry is
+    the rule N(0, 1) gets on a cleared memo: a density is its value."""
+    quad._memo.clear()
+    fresh = build_rule(Density.normal(0.0, 1.0), 8)
+    quad._memo.clear()
+    d = build()
+    assert d == Density.normal(0.0, 1.0) and d.support == (-10.0, 10.0)
+    build_rule(d, 8)
+    got = build_rule(Density.normal(0.0, 1.0), 8)
+    assert got.nodes.tobytes() == fresh.nodes.tobytes()
+    assert got.weights.tobytes() == fresh.weights.tobytes()
 
 
 @pytest.mark.parametrize("spec, entries", [(("Normal", 0, 1), 2), (("Uniform", -1, 1), 2),
