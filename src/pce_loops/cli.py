@@ -243,9 +243,8 @@ def cmd_parse(args):
 
 def _parse_targets(program, targets):
     """The --target monomials as exponent tuples over the state variables."""
-    state_vars = [v for v in program.state_vars if v not in set(program.draw_vars)]
     try:
-        return [parse_monomial(t, state_vars) for t in targets]
+        return [parse_monomial(t, program.state_vars) for t in targets]
     except ValueError as e:
         raise UsageError(f"--target: {e}")
 
@@ -253,8 +252,7 @@ def _parse_targets(program, targets):
 def cmd_moments(args):
     program = parse_file(args.file, constants={"tau": args.tau})
     if not args.target:
-        args.target = [v for v in program.state_vars
-                       if v not in set(program.draw_vars)]
+        args.target = list(program.state_vars)
     targets = _parse_targets(program, args.target)
     degrees = _parse_degrees(args.degrees)
     if len(degrees) != 1:

@@ -316,10 +316,6 @@ class RandomVector:
     def __iter__(self):
         return iter(self.components)
 
-    @property
-    def support(self):
-        return [d.support for d in self.components]
-
     def sample(self, rng, size=None):
         """Independent draws per component; shape (len, size) or (len,)."""
         return np.array([d.sample(rng, size) for d in self.components])

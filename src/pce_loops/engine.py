@@ -252,10 +252,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
                              f"{', '.join(sorted(map(repr, unknown)))}; "
                              "fields are 'degree' and 'germ'")
     draw_density = {u.var: u.density for u in program.body if isinstance(u, DistDraw)}
-
-    state_vars = [v for v in program.state_vars if v not in draw_density]
-    draw_vars = program.draw_vars
-    all_vars = state_vars + draw_vars
+    all_vars = program.state_vars + program.draw_vars
     index = {v: i for i, v in enumerate(all_vars)}
     arity = len(all_vars)
 
@@ -326,7 +323,8 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
             body.append(("draw", u.var, u.density))
         else:
             body.append(("assign", u.var, to_poly(u.expr)))
-    return PolynomializedProgram(program, state_vars, draw_vars, body, provenance)
+    return PolynomializedProgram(program, program.state_vars, program.draw_vars, body,
+                                 provenance)
 
 
 def _expansion(fn, germ, degree, n_nodes):
@@ -458,7 +456,7 @@ class _Powers:
         coefs = np.array(coefs)
         if self.fold:
             for idx, density in self.fold:
-                table, coefs = _integrate(table, coefs, idx, density)
+                table, coefs = _integrate(table, coefs, idx, density.raw_moment)
             table, coefs = _combine(table, coefs)
         sizes = np.bincount(table[-1], minlength=top + 1)[built:]
         table[-1] = 0
@@ -488,15 +486,16 @@ def _substitute(table, coefs, idx, powers):
     return out, coefs[source] * powers.coefs[column]
 
 
-def _integrate(table, coefs, idx, density):
-    """Replace field idx's k-th power by the raw moment E[w^k] of the
-    draw's density in every term."""
+def _integrate(table, coefs, idx, moment):
+    """Replace field idx's k-th power by moment(k), the raw moment E[w^k] of
+    the random input the field holds, in every term; a power 0 keeps its
+    coefficient as it is, and moment is called once per power present."""
     degrees = table[idx]
-    present = np.flatnonzero(np.bincount(degrees)).tolist()
-    factor = np.ones(present[-1] + 1)
-    for d in present:
+    counts = np.bincount(degrees)
+    factor = np.ones(len(counts))
+    for d in np.flatnonzero(counts).tolist():
         if d:
-            factor[d] = density.raw_moment(d)
+            factor[d] = moment(d)
     table = table.copy()
     table[idx] = 0
     return table, coefs * factor[degrees]
@@ -593,7 +592,7 @@ def _sweep(pp, frontier, steps, powers):
         if not top:
             continue
         if kind == "draw":
-            table, coefs = _combine(*_integrate(table, coefs, idx, *content))
+            table, coefs = _combine(*_integrate(table, coefs, idx, content[0].raw_moment))
             continue
         if pos not in powers:
             powers[pos] = _Powers(len(pp.all_vars), *content)
@@ -726,23 +725,17 @@ def close_monomials(pp, targets):
 
 
 def _initial_moments(pp, monomials):
-    """E[m] at n=0 from the independent initial values (missing inits are 0).
-
-    Each state variable's raw moments fill a table at the exponents present,
-    with E[v^0] = 1.0, and the monomials multiply their gathered columns in
-    variable order; a factor 1.0 is exact, so each value is the product of
-    its nonzero powers' moments alone."""
+    """E[m] at n=0 from the independent initial values (missing inits are 0):
+    each state variable in turn is integrated out of the monomials, with
+    its init's raw moments or a constant's powers."""
     init_value = {i.var: i.value for i in pp.program.inits}
-    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), len(pp.state_vars))
-    out = np.ones(len(monomials))
-    for v, column in zip(pp.state_vars, exps.T):
+    table = np.array(monomials, dtype=np.int64).reshape(len(monomials), len(pp.state_vars)).T
+    coefs = np.ones(len(monomials))
+    for idx, v in enumerate(pp.state_vars):
         val = init_value.get(v, 0.0)
-        table = np.ones(int(column.max(initial=0)) + 1)
-        for p in np.flatnonzero(np.bincount(column)).tolist():
-            if p:
-                table[p] = val.raw_moment(p) if isinstance(val, Density) else float(val) ** p
-        out *= table[column]
-    return out
+        moment = val.raw_moment if isinstance(val, Density) else float(val).__pow__
+        table, coefs = _integrate(table, coefs, idx, moment)
+    return coefs
 
 
 def propagate(pp, targets, iterations):
@@ -814,15 +807,8 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    state_vars = [v for v in program.state_vars if v not in set(program.draw_vars)]
-    if targets is None:
-        tgt = []
-        for i in range(len(state_vars)):
-            m = [0] * len(state_vars)
-            m[i] = 1
-            tgt.append(tuple(m))
-    else:
-        tgt = [_monomial(t, state_vars) for t in targets]
+    state_vars = program.state_vars
+    tgt = [_monomial(t, state_vars) for t in (state_vars if targets is None else targets)]
     init_value = {i.var: i.value for i in program.inits}
 
     def run_chunk(args):

@@ -22,6 +22,7 @@ The parser is total: any input yields either a LoopProgram or a ParseError
 carrying line and column.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -60,7 +61,7 @@ class Const:
         return set()
 
     def render(self):
-        return f"{self.value:g}"
+        return _number(self.value)
 
 
 @dataclass(frozen=True)
@@ -180,18 +181,16 @@ class DistDraw:
 
 
 class LoopProgram:
-    """Parsed loop: initial assignments plus one body executed forever."""
+    """Parsed loop: initial assignments plus one body executed forever.
+    Its state is every initialized or assigned variable that is not drawn."""
 
     def __init__(self, inits, body, name=""):
         self.inits = list(inits)
         self.body = list(body)
         self.name = name
-        self.init_vars = [i.var for i in self.inits]
-        self.state_vars = [i.var for i in self.inits]
-        for u in self.body:
-            if isinstance(u, Assign) and u.var not in self.state_vars:
-                self.state_vars.append(u.var)
         self.draw_vars = [u.var for u in self.body if isinstance(u, DistDraw)]
+        named = [i.var for i in self.inits] + [u.var for u in self.body]
+        self.state_vars = [v for v in dict.fromkeys(named) if v not in self.draw_vars]
 
     def __repr__(self):
         return f"LoopProgram(name={self.name!r}, vars={self.state_vars}, draws={self.draw_vars})"
@@ -337,7 +336,7 @@ class _Parser:
         self.expect("=")
         if self.cur.kind == "IDENT":
             return Init(var, self.dist())
-        return Init(var, self.signed_number())
+        return Init(var, self.finite(self.signed_number(), self.tokens[self.pos - 1]))
 
     def update(self):
         var_tok = self.cur
@@ -384,6 +383,12 @@ class _Parser:
             self.error(f"expected a number, found {self.cur.text or 'end of input'!r}")
         return sign * float(self.advance().text)
 
+    def finite(self, value, tok):
+        """value, which tok stands for, unless it is not finite."""
+        if not math.isfinite(value):
+            self.error(f"{tok.text!r} is not a finite number", tok)
+        return value
+
     # expr = term (("+"|"-") term)*
     def expr(self):
         left = self.term()
@@ -419,7 +424,8 @@ class _Parser:
             self.expect(")")
             return e
         if self.cur.kind == "NUMBER":
-            return Const(float(self.advance().text))
+            tok = self.advance()
+            return Const(self.finite(float(tok.text), tok))
         if self.cur.kind == "IDENT":
             tok = self.advance()
             if tok.text in CALL_NAMES:
@@ -430,7 +436,7 @@ class _Parser:
             if tok.text in KEYWORDS:
                 self.error(f"unexpected keyword {tok.text!r} in expression", tok)
             if tok.text in self.constants:
-                return Const(float(self.constants[tok.text]))
+                return Const(self.finite(float(self.constants[tok.text]), tok))
             return Var(tok.text)
         self.error(f"expected an expression, found {self.cur.text or 'end of input'!r}")
 
@@ -446,9 +452,10 @@ class _Parser:
                 self.error(f"variable {u.var!r} updated twice in one iteration")
             seen_updates.add(u.var)
         # every referenced variable must have a value when it is read on the
-        # first iteration: an init, or an earlier update in the body
+        # first iteration: an init, or an earlier update in the body; a drawn
+        # variable only its draw, which replaces any init
         draw_targets = {u.var for u in body if isinstance(u, DistDraw)}
-        available = set(seen_inits)
+        available = seen_inits - draw_targets
         for u in body:
             if isinstance(u, Assign):
                 for v in sorted(u.expr.free_vars() - available):
@@ -491,8 +498,14 @@ def parse_file(path, constants=None):
                  constants=constants)
 
 
+def _number(v):
+    """v as text: its short form where that reads back as v, else repr."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
 def _render_density(d):
-    args = ", ".join(f"{d.params[name]:g}" for name in FAMILY_PARAMS[d.family])
+    args = ", ".join(_number(d.params[name]) for name in FAMILY_PARAMS[d.family])
     return f"{d.family}({args})"
 
 
@@ -503,7 +516,7 @@ def render(program):
         if isinstance(ini.value, Density):
             lines.append(f"{ini.var} = {_render_density(ini.value)}")
         else:
-            lines.append(f"{ini.var} = {ini.value:g}")
+            lines.append(f"{ini.var} = {_number(ini.value)}")
     lines.append("while true {")
     for u in program.body:
         if isinstance(u, DistDraw):

@@ -67,16 +67,22 @@ class OrthonormalBasis:
 
 
 def _raw_polys(alphas, offdiag):
-    """p_0 .. p_d as raw-x UniPolys, by the recurrence on coefficient rows."""
+    """p_0 .. p_d as raw-x UniPolys, by the recurrence on coefficient rows;
+    a ValueError names the first degree whose coefficients overflow."""
     d1 = len(alphas)
     coef = np.zeros((d1, d1))
     coef[0, 0] = 1.0
-    for j in range(d1 - 1):
-        r = -alphas[j] * coef[j]
-        r[1:] += coef[j, :-1]  # x * p_j
-        if j:
-            r -= offdiag[j - 1] * coef[j - 1]
-        coef[j + 1] = r / offdiag[j]
+    with np.errstate(all="ignore"):
+        for j in range(d1 - 1):
+            r = -alphas[j] * coef[j]
+            r[1:] += coef[j, :-1]  # x * p_j
+            if j:
+                r -= offdiag[j - 1] * coef[j - 1]
+            coef[j + 1] = r / offdiag[j]
+    bad = np.flatnonzero(~np.isfinite(coef).all(axis=1))
+    if bad.size:
+        raise ValueError(f"the degree-{bad[0]} polynomial has a coefficient that is not "
+                         "finite in raw-x form")
     return [UniPoly(coef[j, : j + 1]) for j in range(d1)]
 
 

@@ -192,6 +192,14 @@ def test_numeric_failure_is_one_line(capsys):
     assert code == 2
     assert err.startswith("pce-loops: numeric failure: function is not finite")
     assert err.count("\n") == 1
+    # raw-x coefficients of a basis too narrow for them overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["orthopoly", "--dist", '{"family": "Normal", "mu": 0, '
+                              '"sigma": 1e-300}', "--degree", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("pce-loops: numeric failure: the degree-2 polynomial has a coefficient "
+                   "that is not finite in raw-x form\n")
 
 
 def test_projection_rule_too_coarse_for_the_degree_is_refused(capsys):
@@ -311,6 +319,25 @@ def test_parse_missing_and_malformed_files(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == ("pce-loops: parse error: line 3, column 6: bad Uniform parameters: "
                    "parameter 'b' of Uniform must be finite, not inf\n")
+    # so is a non-finite init, expression literal or --tau
+    for text, tau, where in (("x = 1e999\nwhile true {\n x := x\n}\n", "0.1",
+                              "line 1, column 5: '1e999'"),
+                             ("x = 1\nwhile true {\n x := 1e999 * x\n}\n", "0.1",
+                              "line 3, column 7: '1e999'"),
+                             ("x = 1\nwhile true {\n x := x + tau\n}\n", "inf",
+                              "line 3, column 11: 'tau'")):
+        bad.write_text(text)
+        code, out, err = run(["moments", str(bad), "--n", "3", "--tau", tau], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"pce-loops: parse error: {where} is not a finite number\n"
+    # a drawn variable with an init is still read before its draw
+    bad.write_text("x = 0\nw = 1\nwhile true {\n x := x + w\n w = Normal(0, 1)\n}\n")
+    for argv in (["parse"], ["moments", "--n", "3"],
+                 ["simulate", "--n", "3", "--samples", "10"]):
+        code, out, err = run(argv[:1] + [str(bad)] + argv[1:], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("pce-loops: parse error: line 7, column 1: 'w' is read before it is "
+                       "drawn; move the draw above its first use\n")
 
 
 def test_tau_constant_reaches_the_program(tmp_path, capsys):

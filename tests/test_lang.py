@@ -47,6 +47,9 @@ def test_toy_ast_shape():
     assert p.body[1] == Assign("x", BinOp("+", Var("x"), BinOp("*", Const(2.0), Var("w"))))
     assert p.state_vars == ["x"]
     assert p.draw_vars == ["w"]
+    # a drawn variable is never state, even with an init
+    p = parse("w = 1\n" + TOY)
+    assert (p.state_vars, p.draw_vars) == (["x"], ["w"])
 
 
 def test_vehicle_program_shape():
@@ -84,6 +87,15 @@ def test_render_parse_round_trip():
                 assert a == b
             else:
                 assert a.var == b.var and a.density.to_dict() == b.density.to_dict()
+    # every digit survives: the short form of each of these reads back as another float
+    p1 = parse("x = 0.123456789\nwhile true {\n w = Uniform(0.1234567, 1.0)\n"
+               " x := 0.987654321 * x + w\n}")
+    text = render(p1)
+    assert text == ("x = 0.123456789\nwhile true {\n    w = Uniform(0.1234567, 1)\n"
+                    "    x := 0.987654321 * x + w\n}\n")
+    p2 = parse(text)
+    assert p2.inits == p1.inits and p2.body[1] == p1.body[1]
+    assert p2.body[0].density == p1.body[0].density
 
 
 def test_power_and_unary_minus():
@@ -115,6 +127,11 @@ def test_expr_calls_left_to_right():
 def test_error_read_before_draw():
     with pytest.raises(ParseError, match="move the draw above its first use"):
         parse("x = 0\nwhile true {\n x := x + w\n w = Normal(0, 1)\n}")
+    # an init of a drawn variable is never read: the draw replaces it
+    with pytest.raises(ParseError, match="'w' is read before it is drawn; move the draw "
+                                         "above its first use") as exc:
+        parse("x = 0\nw = 1\nwhile true {\n x := x + w\n w = Normal(0, 1)\n}")
+    assert (exc.value.line, exc.value.col) == (6, 2)
 
 
 def test_error_read_before_update_without_init():
@@ -152,6 +169,15 @@ def test_error_distribution_arity_and_params():
                                          "must be finite, not inf") as exc:
         parse("x = 0\nwhile true {\n w = Uniform(0, 1e999)\n x := x + w\n}")
     assert (exc.value.line, exc.value.col) == (3, 6)
+    # so is a non-finite init, expression literal or predefined constant
+    for src, constants, at in (("x = -1e999\nwhile true { x := x }", None, (1, 6)),
+                               ("x = 1\nwhile true {\n x := 1e999 * x\n}", None, (3, 7)),
+                               ("x = 1\nwhile true {\n x := x + tau\n}", {"tau": math.inf},
+                                (3, 11)),
+                               ("x = 1\nwhile true { x := tau }", {"tau": math.nan}, (2, 19))):
+        with pytest.raises(ParseError, match="is not a finite number") as exc:
+            parse(src, constants=constants)
+        assert (exc.value.line, exc.value.col) == at
     with pytest.raises(ParseError, match="unknown distribution"):
         parse("x = Cauchy(0, 1)\nwhile true { x := x }")
 
