@@ -9,10 +9,13 @@ Reports come in two shapes: CSV tables with a fixed, documented column order
 (byte-identical across runs for the same config and seed) and JSON reports
 that additionally carry config, input digests, timings and provenance.
 Timings vary run to run, so only the CSV side is covered by the determinism
-guarantee.
+guarantee.  One writer, `_write`, handles `--format` and `--out` for every
+subcommand that has them.
 
-Exit codes: 0 success, 1 usage or input error, 2 numeric failure, 3 all
-requested work was skipped.
+Exit codes, mapped in one place (`main`): 0 success; 1 a usage error, a parse
+error or an input or output path that cannot be read or written; 2 a numeric
+failure, or a bench row outside its tolerance; 3 all requested work was
+skipped.
 """
 
 import argparse
@@ -22,8 +25,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import bench as bench_mod
 from .dist import RandomVector, density_from_dict
@@ -67,17 +68,7 @@ class RunReport:
             "timings": self.timings,
             "provenance": self.provenance,
         }
-        return json.dumps(payload, indent=2, default=_json_default) + "\n"
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, tuple):
-        return list(o)
-    raise TypeError(f"not JSON serializable: {type(o)!r}")
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _digest(data):
@@ -109,6 +100,20 @@ def _emit(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write(args, report, header, rows, code=EXIT_OK):
+    """Emit the report as JSON under --format json, else its CSV table, to
+    --out or stdout, and return the exit code."""
+    if args.format == "json":
+        _emit(report.to_json(), args.out)
+    else:
+        _emit(_csv_text(header, rows), args.out)
+    return code
+
+
+def _program(args):
+    return parse_file(args.file, constants={"tau": args.tau})
 
 
 def _parse_degrees(text):
@@ -185,13 +190,9 @@ def cmd_expand(args):
         results=results,
         timings={"expansion_ms": ms},
     )
-    if args.format == "csv":
-        rows = [(j, " ".join(map(str, e.D[j])), float(c))
-                for j, c in enumerate(e.coeffs)]
-        _emit(_csv_text(("j", "degrees", "coefficient"), rows), args.out)
-    else:
-        _emit(report.to_json(), args.out)
-    return EXIT_OK
+    rows = [(j, " ".join(map(str, e.D[j])), float(c))
+            for j, c in enumerate(e.coeffs)]
+    return _write(args, report, ("j", "degrees", "coefficient"), rows)
 
 
 def cmd_orthopoly(args):
@@ -206,36 +207,32 @@ def cmd_orthopoly(args):
     if args.format == "text":
         lines = [f"p{k}(x) = {text}" for k, text in enumerate(rendered)]
         _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        rows = [(k, " ".join(repr(float(c)) for c in p.coeffs))
-                for k, p in enumerate(basis.polys)]
-        _emit(_csv_text(("degree", "coefficients_ascending"), rows), args.out)
-    else:
-        report = RunReport(
-            command="orthopoly",
-            inputs={"dist": density.to_dict()},
-            config={"degree": args.degree, "quad_nodes": args.quad_nodes},
-            results={
-                "basis": [{"degree": k,
-                           "coefficients_ascending": [float(c) for c in p.coeffs],
-                           "text": text}
-                          for k, (p, text) in enumerate(zip(basis.polys, rendered))],
-                "gram_residual": basis.gram_residual,
-            },
-            timings={"expansion_ms": ms},
-        )
-        _emit(report.to_json(), args.out)
-    return EXIT_OK
+        return EXIT_OK
+    report = RunReport(
+        command="orthopoly",
+        inputs={"dist": density.to_dict()},
+        config={"degree": args.degree, "quad_nodes": args.quad_nodes},
+        results={
+            "basis": [{"degree": k,
+                       "coefficients_ascending": [float(c) for c in p.coeffs],
+                       "text": text}
+                      for k, (p, text) in enumerate(zip(basis.polys, rendered))],
+            "gram_residual": basis.gram_residual,
+        },
+        timings={"expansion_ms": ms},
+    )
+    rows = [(k, " ".join(repr(float(c)) for c in p.coeffs))
+            for k, p in enumerate(basis.polys)]
+    return _write(args, report, ("degree", "coefficients_ascending"), rows)
 
 
 def cmd_parse(args):
-    program = parse_file(args.file, constants={"tau": args.tau})
+    program = _program(args)
     report = validate_conditions(program)
     if args.check:
         payload = {"file": args.file, "digest": _file_digest(args.file),
                    "report": report}
-        _emit(json.dumps(payload, indent=2, default=_json_default) + "\n",
-              args.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(render(program), args.out)
     return EXIT_OK
@@ -250,7 +247,7 @@ def _parse_targets(program, targets):
 
 
 def cmd_moments(args):
-    program = parse_file(args.file, constants={"tau": args.tau})
+    program = _program(args)
     if not args.target:
         args.target = list(program.state_vars)
     targets = _parse_targets(program, args.target)
@@ -279,11 +276,7 @@ def cmd_moments(args):
                  "propagation_ms": 1e3 * (t2 - t1)},
         provenance=provenance,
     )
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(_csv_text(("n", "monomial", "value"), rows), args.out)
-    return EXIT_OK
+    return _write(args, report, ("n", "monomial", "value"), rows)
 
 
 def _maybe_bound(prov):
@@ -298,7 +291,7 @@ def _maybe_bound(prov):
 
 
 def cmd_simulate(args):
-    program = parse_file(args.file, constants={"tau": args.tau})
+    program = _program(args)
     targets = args.target or None
     parsed = _parse_targets(program, targets) if targets else None
     t0 = time.perf_counter()
@@ -318,11 +311,7 @@ def cmd_simulate(args):
         ]},
         timings={"simulation_ms": ms},
     )
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(_csv_text(("n", "monomial", "value", "stderr"), rows), args.out)
-    return EXIT_OK
+    return _write(args, report, ("n", "monomial", "value", "stderr"), rows)
 
 
 BENCH_HEADER = ("benchmark", "target", "sim", "deg", "result", "reference",
@@ -355,15 +344,10 @@ def cmd_bench(args):
                 "quad_nodes": args.quad_nodes, "sim": not args.no_sim},
         results=reports,
     )
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(_csv_text(BENCH_HEADER, csv_rows), args.out)
-    if any(r["status"] == "FAIL" for r in reports):
-        return EXIT_NUMERIC
-    if all(r["status"] == "SKIPPED" for r in reports):
-        return EXIT_SKIPPED
-    return EXIT_OK
+    statuses = {r["status"] for r in reports}
+    code = (EXIT_NUMERIC if "FAIL" in statuses
+            else EXIT_SKIPPED if statuses == {"SKIPPED"} else EXIT_OK)
+    return _write(args, report, BENCH_HEADER, csv_rows, code)
 
 
 def _bench_csv_rows(rep):
@@ -396,14 +380,10 @@ def cmd_table2(args):
         results=rep,
         timings={"table2_ms": 1e3 * (time.perf_counter() - t0)},
     )
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        rows = [(r["row"], r["function"], r["degree"], r["n_coefficients"],
-                 r["error"], r["reference"], r["ratio"]) for r in rep["rows"]]
-        _emit(_csv_text(("row", "function", "degree", "n_coefficients",
-                         "error", "reference", "ratio"), rows), args.out)
-    return EXIT_OK
+    rows = [(r["row"], r["function"], r["degree"], r["n_coefficients"],
+             r["error"], r["reference"], r["ratio"]) for r in rep["rows"]]
+    return _write(args, report, ("row", "function", "degree", "n_coefficients",
+                                 "error", "reference", "ratio"), rows)
 
 
 # -- argument wiring -------------------------------------------------------
@@ -460,7 +440,7 @@ def build_parser():
     p = sub.add_parser("orthopoly",
                        help="print the orthonormal polynomial basis of a density")
     p.add_argument("--dist", required=True, help="density as JSON")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_at_least(0), required=True)
     _add_common(p, "text", ("text", "csv", "json"))
     p.set_defaults(fn_=cmd_orthopoly)
 
@@ -525,19 +505,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn_(args)
-    except UsageError as e:
-        print(f"pce-loops: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as e:
         print(f"pce-loops: parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (UsageError, OSError) as e:
         print(f"pce-loops: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (GramSchmidtError, ArithmeticError, FloatingPointError) as e:
-        print(f"pce-loops: numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as e:
+    except (GramSchmidtError, ArithmeticError, ValueError) as e:
         print(f"pce-loops: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 __all__ = ["FAMILY_PARAMS", "Density", "RandomVector", "density_from_dict",
-           "location_scale", "from_location_scale"]
+           "location_scale", "affine_law"]
 
 # Half-width, in standard deviations, of the integration window used for an
 # untruncated Normal.  Mass outside is ~1.5e-23, far below quadrature noise.
@@ -293,10 +293,16 @@ def location_scale(density):
     return Density.of(density.family, *standard), loc, scale
 
 
-def from_location_scale(standard, loc, scale):
-    """The law of loc + scale*Z, Z ~ standard, for a standard member that
-    location_scale returns and scale > 0."""
-    return Density.of(standard.family, *_LOCATION_SCALE[standard.family][2](loc, scale))
+def affine_law(density, a, b):
+    """The law of a*W + b, W ~ density, for a Normal or Uniform W; None for
+    the other families.  The standard members are symmetric, so a < 0 scales
+    by |a|."""
+    entry = _LOCATION_SCALE.get(density.family)
+    if entry is None:
+        return None
+    _, to_loc_scale, from_loc_scale = entry
+    loc, scale = to_loc_scale(*(density.params[n] for n in FAMILY_PARAMS[density.family]))
+    return Density.of(density.family, *from_loc_scale(a * loc + b, abs(a) * scale))
 
 
 class RandomVector:

@@ -31,7 +31,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .dist import Density, from_location_scale, location_scale
+from .dist import Density, affine_law
 from .lang import (
     NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
 )
@@ -218,16 +218,6 @@ class PolynomializedProgram:
         )
 
 
-def _shifted_density(d, a, b):
-    """Density of a*W + b for W of a location-scale family (else None); the
-    standard members are symmetric, so a < 0 scales by |a|."""
-    mapped = location_scale(d)
-    if mapped is None:
-        return None
-    standard, loc, scale = mapped
-    return from_location_scale(standard, a * loc + b, abs(a) * scale)
-
-
 def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_NODES):
     """Replace non-polynomial calls with PCE polynomials.
 
@@ -270,7 +260,7 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         if sum(exp) != 1:
             return None
         d = draw_density[all_vars[exp.index(1)]]
-        return d if (a, b) == (1.0, 0.0) else _shifted_density(d, a, b)
+        return d if (a, b) == (1.0, 0.0) else affine_law(d, a, b)
 
     def replace_call(call, arg_poly):
         # sites are replaced in textual order, so one record per site so far

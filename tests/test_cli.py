@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -338,6 +339,43 @@ def test_parse_missing_and_malformed_files(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert err == ("pce-loops: parse error: line 7, column 1: 'w' is read before it is "
                        "drawn; move the draw above its first use\n")
+    # a directory is neither a program to read nor a report to write
+    for argv in (["parse", str(tmp_path)], ["table2", "--out", str(tmp_path)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"pce-loops: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def _drop_ms_fields(text):
+    return re.sub(r'\n *"\w+_ms": [^\n]*', "", text)
+
+
+UNIFORM_1_2 = '{"family": "Uniform", "a": 1, "b": 2}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--fn", "log(x+y)", "--germs", GOLD_GERMS_JSON, "--degrees", "2,2",
+     "--format", "json"],
+    ["expand", "--fn", "log(x+y)", "--germs", GOLD_GERMS_JSON, "--degrees", "2,2",
+     "--format", "csv"],
+    ["orthopoly", "--dist", UNIFORM_1_2, "--degree", "3", "--format", "text"],
+    ["orthopoly", "--dist", UNIFORM_1_2, "--degree", "3", "--format", "csv"],
+    ["orthopoly", "--dist", UNIFORM_1_2, "--degree", "3", "--format", "json"],
+    ["parse", TURNING],
+    ["parse", TURNING, "--check"],
+    ["moments", TURNING, "--n", "2", "--degrees", "3", "--format", "csv"],
+    ["moments", TURNING, "--n", "2", "--degrees", "3", "--format", "json"],
+    ["simulate", TURNING, "--n", "2", "--samples", "100", "--format", "csv"],
+    ["simulate", TURNING, "--n", "2", "--samples", "100", "--format", "json"],
+    ["bench", "--no-sim", "turning-vehicle", "--format", "csv"],
+    ["bench", "--no-sim", "turning-vehicle", "--format", "json"],
+])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out
+    path = tmp_path / "report"
+    assert run(argv + ["--out", str(path)], capsys) == (code, "", err)
+    assert _drop_ms_fields(path.read_bytes().decode()) == _drop_ms_fields(out)
 
 
 def test_tau_constant_reaches_the_program(tmp_path, capsys):
@@ -466,6 +504,8 @@ def test_bench_fails_an_appendix_b_coefficient_outside_its_tolerance(capsys, mon
     (["moments", TURNING, "--n", "2", "--quad-nodes", "0"], "--quad-nodes"),
     (["simulate", TURNING, "--n", "2", "--threads", "-3"], "--threads"),
     (["simulate", TURNING, "--n", "2", "--threads", "0"], "--threads"),
+    (["orthopoly", "--dist", '{"family": "Uniform", "a": 1, "b": 2}', "--degree", "-1"],
+     "--degree"),
 ])
 def test_bad_counts_are_usage_errors(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:

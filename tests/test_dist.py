@@ -263,7 +263,7 @@ def test_location_scale_maps_the_standard_member():
         got, loc, scale = dist.location_scale(d)
         assert got.params == standard.params and got.support == standard.support
         assert tuple(loc + scale * z for z in got.support) == d.support
-        assert dist.from_location_scale(got, loc, scale).params == d.params
+        assert dist.affine_law(got, scale, loc).params == d.params
     assert dist.location_scale(Density.trunc_normal(2.0, 0.1, 1.0, 3.0)) is None
 
 
