@@ -475,8 +475,7 @@ def build_parser():
     p.add_argument("--samples", type=_at_least(1), default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_at_least(1), default=None,
-                   help="worker threads (default: PCE_LOOPS_THREADS, else the CPU count "
-                        "up to 4)")
+                   help="worker threads (default: the CPU count up to 4)")
     p.add_argument("--tau", type=float, default=0.1)
     _add_common(p, "csv")
     p.set_defaults(fn_=cmd_simulate)
@@ -504,6 +503,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            # fail before the work; append mode truncates nothing, so parse F --out F reads F
+            open(args.out, "a", encoding="utf-8").close()
         return args.fn_(args)
     except ParseError as e:
         print(f"pce-loops: parse error: {e}", file=sys.stderr)

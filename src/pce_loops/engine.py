@@ -32,9 +32,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .dist import Density, affine_law
-from .lang import (
-    NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr, validate_conditions,
-)
+from .lang import (NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr,
+                   validate_conditions, well_formed)
 from .orthopoly import _degree
 from .pce import expand
 from .poly import MultiPoly
@@ -56,7 +55,6 @@ CLOSURE_LIMIT = 10**5
 # ever-higher powers (e.g. a squared self-update); refusing early keeps the
 # failure cheap, since substitution cost grows with the exponent.
 DEGREE_LIMIT = 200
-THREADS_ENV = "PCE_LOOPS_THREADS"
 # Monomials per closure sweep, which bounds the arrays one sweep
 # holds.  At 64, the widest step of the degree-9 turning x^2*y^2 closure
 # holds 11k terms instead of 15k, and on a 2-vCPU x86-64 host the peak RSS
@@ -192,6 +190,9 @@ class PolynomializedProgram:
     schedule is empty for a loop whose every iteration runs body; for an
     iteration-indexed loop (lagrange_schedule) it holds one program per
     iteration, and body, the first one's, is never swept on its own.
+    reads holds the variables each step reads, None for a draw.  With
+    program's inits, body is a loop that lang.well_formed accepts, of state
+    state_vars and draws draw_vars, or the constructor raises ValueError.
     """
 
     def __init__(self, program, state_vars, draw_vars, body, provenance):
@@ -201,6 +202,13 @@ class PolynomializedProgram:
         self.all_vars = self.state_vars + self.draw_vars
         self.var_index = {v: i for i, v in enumerate(self.all_vars)}
         self.body = list(body)  # ("draw", var, Density) | ("assign", var, MultiPoly)
+        self.reads = [None if kind == "draw" else _fields(p, self.all_vars)
+                      for kind, _, p in self.body]
+        lists = well_formed([i.var for i in program.inits],
+                            [(var, reads) for (_, var, _), reads in zip(self.body, self.reads)])
+        if lists != (self.state_vars, self.draw_vars):
+            raise ValueError(f"state {self.state_vars} and draws {self.draw_vars} differ "
+                             f"from the body's: state {lists[0]}, draws {lists[1]}")
         self.provenance = list(provenance)
         self.schedule = ()
 
@@ -509,27 +517,25 @@ def _may_merge(table, idx, powers):
     return bool((per_row[rows] != degrees).any())
 
 
-def _fields(poly):
-    """The set of fields (variable indices) poly's terms hold."""
-    return {i for e in poly.terms for i, p in enumerate(e) if p}
+def _fields(poly, names=None):
+    """The set of fields (variable indices) poly's terms hold, or of their
+    names when names lists them."""
+    names = names or range(poly.arity)
+    return {names[i] for e in poly.terms for i, p in enumerate(e) if p}
 
 
 def _folds(pp):
     """{update position: [(draw field, density), ...]}, the draws folded
-    into each update's powers.  A draw is folded when it is the only write
-    to its variable and exactly one update reads it, below it in the body:
-    the draw is then independent of everything else in each term that
-    update's powers multiply, so E[w^j] can be taken inside the powers."""
-    reads = [_fields(payload) if kind == "assign" else set() for kind, _, payload in pp.body]
-    written = [var for _, var, _ in pp.body]
+    into each update's powers.  A draw is folded when exactly one update
+    reads it: the draw is then independent of everything else in each term
+    that update's powers multiply, so E[w^j] can be taken inside the
+    powers."""
     folds = {}
-    for pos, (kind, var, density) in enumerate(pp.body):
-        if kind != "draw" or written.count(var) != 1:
-            continue
-        idx = pp.var_index[var]
-        readers = [r for r, fields in enumerate(reads) if idx in fields]
-        if len(readers) == 1 and readers[0] > pos:
-            folds.setdefault(readers[0], []).append((idx, density))
+    for kind, var, density in pp.body:
+        if kind == "draw":
+            readers = [r for r, reads in enumerate(pp.reads) if reads and var in reads]
+            if len(readers) == 1:
+                folds.setdefault(readers[0], []).append((pp.var_index[var], density))
     return folds
 
 
@@ -594,13 +600,6 @@ def _sweep(pp, frontier, steps, powers):
         elif not coefs.all():
             keep = coefs != 0.0
             table, coefs = table[:, keep], coefs[keep]
-    survivors = table[k:-1].any(axis=1)
-    if survivors.any():
-        d = pp.draw_vars[int(np.argmax(survivors))]
-        raise ValueError(
-            f"draw variable {d!r} survives the iteration; "
-            "draws must come before every use in the body"
-        )
     return table, coefs
 
 
@@ -770,24 +769,13 @@ def propagate(pp, targets, iterations):
 # -- Monte Carlo oracle ----------------------------------------------------
 
 
-def _thread_count(requested=None):
-    if requested is not None:
-        return int(requested)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def simulate(program, iterations, samples=10**6, seed=0, targets=None,
              chunk_size=200_000, threads=None):
     """Run the loop under its original semantics and record empirical moments.
 
-    Reproducible for a fixed seed regardless of thread count: sample chunks
-    get independent child seeds and partial sums merge in chunk order.
+    threads is the number of worker threads, by default the CPU count up to
+    4.  Reproducible for a fixed seed regardless of thread count: sample
+    chunks get independent child seeds and partial sums merge in chunk order.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -841,7 +829,7 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
         sizes.append(samples % chunk_size)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     jobs = list(zip(sizes, children))
-    workers = _thread_count(threads)
+    workers = min(4, os.cpu_count() or 1) if threads is None else threads
     if workers > 1 and len(jobs) > 1:
         # imported here, off the import path of processes that never simulate
         from concurrent.futures import ThreadPoolExecutor

@@ -18,6 +18,12 @@ Distributions are the families of dist.FAMILY_PARAMS, with the parameters
 in that table's order, e.g. Normal(mu, sigma) or TruncGamma(k, theta, a, b);
 sigma is always a standard deviation.
 
+A loop is well formed when each variable is initialized at most once and
+updated at most once per iteration, and each read has a value on the first
+iteration: an init or an update above it, for a drawn variable its draw,
+which replaces any init.  well_formed alone decides this, for every
+LoopProgram, parsed or built in Python, and engine.PolynomializedProgram.
+
 The parser is total: any input yields either a LoopProgram or a ParseError
 carrying line and column.
 """
@@ -32,7 +38,7 @@ from .dist import FAMILY_PARAMS, Density
 
 __all__ = [
     "Expr", "Const", "Var", "BinOp", "Pow", "Call",
-    "Init", "Assign", "DistDraw", "LoopProgram",
+    "Init", "Assign", "DistDraw", "LoopProgram", "well_formed",
     "parse", "parse_file", "parse_expression", "render", "validate_conditions",
     "ParseError", "eval_expr", "expr_calls", "NUMPY_CALLS",
 ]
@@ -180,17 +186,47 @@ class DistDraw:
     density: Density
 
 
+def well_formed(init_vars, steps):
+    """(state_vars, draw_vars) of the loop with these init names and body
+    steps, or a ValueError naming the first rule (module docstring) it
+    breaks.  steps are (variable, reads) pairs in body order, reads being
+    the variables an update reads, or None for a draw.  The state is every
+    initialized or updated variable that is not drawn, in order of first
+    appearance; the draws are in body order."""
+    init_vars, steps = list(init_vars), list(steps)
+    updated = [var for var, _ in steps]
+    for names, fault in ((init_vars, "initialized twice"),
+                         (updated, "updated twice in one iteration")):
+        if len(set(names)) < len(names):
+            twice = next(v for i, v in enumerate(names) if v in names[:i])
+            raise ValueError(f"variable {twice!r} {fault}")
+    drawn = [var for var, reads in steps if reads is None]
+    available = set(init_vars).difference(drawn)
+    for var, reads in steps:
+        if reads is not None and not available.issuperset(reads):
+            v = min(set(reads) - available)
+            if v in drawn:
+                raise ValueError(f"{v!r} is read before it is drawn; "
+                                 "move the draw above its first use")
+            if v in updated:
+                raise ValueError(f"{v!r} is read before its update and needs an initial value")
+            raise ValueError(f"variable {v!r} is never given a value")
+        available.add(var)
+    return [v for v in dict.fromkeys(init_vars + updated) if v not in drawn], drawn
+
+
 class LoopProgram:
-    """Parsed loop: initial assignments plus one body executed forever.
-    Its state is every initialized or assigned variable that is not drawn."""
+    """A loop: initial assignments plus one body executed forever, well
+    formed (well_formed) or refused with a ValueError."""
 
     def __init__(self, inits, body, name=""):
         self.inits = list(inits)
         self.body = list(body)
         self.name = name
-        self.draw_vars = [u.var for u in self.body if isinstance(u, DistDraw)]
-        named = [i.var for i in self.inits] + [u.var for u in self.body]
-        self.state_vars = [v for v in dict.fromkeys(named) if v not in self.draw_vars]
+        self.state_vars, self.draw_vars = well_formed(
+            [i.var for i in self.inits],
+            [(u.var, None if isinstance(u, DistDraw) else u.expr.free_vars())
+             for u in self.body])
 
     def __repr__(self):
         return f"LoopProgram(name={self.name!r}, vars={self.state_vars}, draws={self.draw_vars})"
@@ -329,7 +365,10 @@ class _Parser:
             self.error("no updates: loop body is empty")
         if self.cur.kind != "EOF":
             self.error(f"unexpected trailing input {self.cur.text!r}")
-        return self._finish(inits, body, name)
+        try:
+            return LoopProgram(inits, body, name=name)
+        except ValueError as e:
+            self.error(str(e))
 
     def init(self):
         var = self.ident("variable name")
@@ -439,36 +478,6 @@ class _Parser:
                 return Const(self.finite(float(self.constants[tok.text]), tok))
             return Var(tok.text)
         self.error(f"expected an expression, found {self.cur.text or 'end of input'!r}")
-
-    def _finish(self, inits, body, name):
-        seen_inits = set()
-        for ini in inits:
-            if ini.var in seen_inits:
-                self.error(f"variable {ini.var!r} initialized twice")
-            seen_inits.add(ini.var)
-        seen_updates = set()
-        for u in body:
-            if u.var in seen_updates:
-                self.error(f"variable {u.var!r} updated twice in one iteration")
-            seen_updates.add(u.var)
-        # every referenced variable must have a value when it is read on the
-        # first iteration: an init, or an earlier update in the body; a drawn
-        # variable only its draw, which replaces any init
-        draw_targets = {u.var for u in body if isinstance(u, DistDraw)}
-        available = seen_inits - draw_targets
-        for u in body:
-            if isinstance(u, Assign):
-                for v in sorted(u.expr.free_vars() - available):
-                    if v in draw_targets:
-                        self.error(
-                            f"{v!r} is read before it is drawn; "
-                            "move the draw above its first use"
-                        )
-                    if v in seen_updates:
-                        self.error(f"{v!r} is read before its update and needs an initial value")
-                    self.error(f"variable {v!r} is never given a value")
-            available.add(u.var)
-        return LoopProgram(inits, body, name=name)
 
 
 def parse(source, name="", constants=None):

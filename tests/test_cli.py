@@ -346,6 +346,25 @@ def test_parse_missing_and_malformed_files(tmp_path, capsys):
         assert err == f"pce-loops: error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+def test_an_out_path_that_cannot_be_written_fails_before_the_work(tmp_path, capsys,
+                                                                  monkeypatch):
+    def unreachable(**kwargs):
+        raise AssertionError("table2 ran although --out cannot be written")
+
+    monkeypatch.setattr(pce_loops.bench, "run_table2", unreachable)
+    code, out, err = run(["table2", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"pce-loops: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_parse_can_write_its_report_over_its_input(tmp_path, capsys):
+    src = tmp_path / "turning.ppl"
+    src.write_text(pathlib.Path(TURNING).read_text())
+    code, want, _ = run(["parse", TURNING], capsys)
+    assert run(["parse", str(src), "--out", str(src)], capsys)[:2] == (0, "")
+    assert src.read_text() == want
+
+
 def _drop_ms_fields(text):
     return re.sub(r'\n *"\w+_ms": [^\n]*', "", text)
 

@@ -18,6 +18,7 @@ from pce_loops.bench import program_path
 from pce_loops.dist import Density
 from pce_loops.engine import (
     MomentTable,
+    PolynomializedProgram,
     close_monomials,
     format_monomial,
     lagrange_schedule,
@@ -96,9 +97,12 @@ def test_update_order_is_sequential():
 
 
 def test_missing_init_defaults_to_zero():
-    prog = LoopProgram([], [Assign("x", BinOp("+", Var("x"), Const(1.0)))])
-    t = propagate(prog, ["x"], 5)
-    assert [t.value(n, "x") for n in range(6)] == [0, 1, 2, 3, 4, 5]
+    prog = LoopProgram([], [Assign("x", Const(1.0))])
+    t = propagate(prog, ["x"], 3)
+    assert [t.value(n, "x") for n in range(4)] == [0, 1, 1, 1]
+    # a missing init is 0 only where nothing reads it before its update
+    with pytest.raises(ValueError, match="'x' is read before its update and needs an initial"):
+        LoopProgram([], [Assign("x", BinOp("+", Var("x"), Const(1.0)))])
 
 
 def test_one_step_expectation_is_linear_in_previous_monomials():
@@ -111,12 +115,33 @@ def test_one_step_expectation_is_linear_in_previous_monomials():
 
 
 def test_draw_must_precede_use():
-    prog = LoopProgram(
-        [Init("x", 0.0)],
-        [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", Density.normal(0, 1))],
-    )
-    with pytest.raises(ValueError, match="survives the iteration"):
-        propagate(prog, ["x"], 3)
+    """A read above its draw is refused when the program is built, so
+    neither polynomialize nor the closure kernel ever sees one."""
+    with pytest.raises(ValueError, match="'w' is read before it is drawn; move the draw "
+                                         "above its first use"):
+        LoopProgram(
+            [Init("x", 0.0)],
+            [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", Density.normal(0, 1))],
+        )
+
+
+def test_a_polynomialized_program_is_well_formed_when_built():
+    """turning's polynomialized body, rebuilt by hand: a draw below its
+    reader, or state and draw lists that are not the body's, are refused."""
+    pp = polynomialize(parse_file(program_path("turning.ppl")))
+    assert [var for _, var, _ in pp.body] == ["x", "y", "w1", "w2", "v", "psi"]
+    late_draw = pp.body[:2] + pp.body[3:] + pp.body[2:3]
+    with pytest.raises(ValueError, match="'w1' is read before it is drawn"):
+        PolynomializedProgram(pp.program, pp.state_vars, pp.draw_vars, late_draw, [])
+    with pytest.raises(ValueError):
+        PolynomializedProgram(pp.program, pp.draw_vars, pp.state_vars, pp.body, [])
+    with pytest.raises(ValueError, match=re.escape(
+            "state ['psi', 'v', 'y', 'x'] and draws ['w1', 'w2'] differ from the body's: "
+            "state ['x', 'y', 'v', 'psi'], draws ['w1', 'w2']")):
+        PolynomializedProgram(pp.program, pp.state_vars[::-1], pp.draw_vars, pp.body, [])
+    rebuilt = PolynomializedProgram(pp.program, pp.state_vars, pp.draw_vars, pp.body, [])
+    assert rebuilt.reads == pp.reads == [{"x", "v", "psi"}, {"y", "v", "psi"}, None, None,
+                                         {"v", "w1"}, {"psi", "w2"}]
 
 
 def test_vehicle_closure_stays_small():
@@ -608,7 +633,9 @@ def _random_call_free_loop(rng):
             expr = term if expr is None else BinOp("+", expr, term)
         body.append(("assign", s, poly))
         program_body.append(Assign(s, expr))
-    inits = {s: _dyadic(rng, -2, 2) for s in state if rng.random() < 0.9}
+    # every update reads its own variable, so each one has an init: a
+    # dyadic one, or 0 one time in ten
+    inits = {s: _dyadic(rng, -2, 2) if rng.random() < 0.9 else Fraction(0) for s in state}
     program = LoopProgram([Init(v, float(c)) for v, c in inits.items()], program_body)
     return program, body, state, draws, inits
 
@@ -849,17 +876,6 @@ def test_products_that_underflow_to_zero_are_dropped():
     assert closure == {(0, 0), (0, 1)}
     assert step[(0, 1)].terms == {}
     _assert_kernel_matches_dict_sweep(pp, [(0, 1)])
-
-
-def test_draw_read_before_it_is_drawn_is_not_folded():
-    prog = LoopProgram(
-        [Init("x", 0.0)],
-        [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", Density.normal(0, 1))],
-    )
-    pp = polynomialize(prog)
-    assert engine._folds(pp) == {}
-    with pytest.raises(ValueError, match="survives the iteration"):
-        close_monomials(pp, [(1,)])
 
 
 def _wide_exponent_loop():
@@ -1224,15 +1240,10 @@ def test_close_monomials_takes_monomial_strings():
 
 def test_a_closure_that_raises_raises_again(closures_built):
     blowup = polynomialize(parse("x = 2\nwhile true {\n x := x^2\n}"))
-    late = polynomialize(LoopProgram(
-        [Init("x", 0.0)],
-        [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", Density.normal(0, 1))],
-    ))
-    for pp, match in ((blowup, "not moment-computable"), (late, "survives the iteration")):
-        for _ in range(2):
-            with pytest.raises(ValueError, match=match):
-                engine._close(pp, [(1,)])
-    assert len(closures_built) == 4
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not moment-computable"):
+            engine._close(blowup, [(1,)])
+    assert len(closures_built) == 2
     assert not engine._closures
 
 

@@ -154,6 +154,28 @@ def test_error_double_update():
         parse("x = 1\nwhile true {\n x := x + 1\n x := x - 1\n}")
 
 
+@pytest.mark.parametrize("inits, body, source", [
+    ([Init("x", 1.0), Init("x", 2.0)], [Assign("x", Var("x"))],
+     "x = 1\nx = 2\nwhile true { x := x }"),
+    ([Init("x", 1.0)], [Assign("x", Var("x")), Assign("x", Const(0.0))],
+     "x = 1\nwhile true {\n x := x\n x := 0\n}"),
+    ([Init("y", 0.0)], [Assign("y", BinOp("+", Var("q"), Const(1.0)))],
+     "y = 0\nwhile true { y := q + 1 }"),
+    ([Init("x", 0.0)], [Assign("x", BinOp("+", Var("x"), Var("w"))),
+                        DistDraw("w", Density.normal(0, 1))],
+     "x = 0\nwhile true {\n x := x + w\n w = Normal(0, 1)\n}"),
+])
+def test_a_loop_built_in_python_keeps_the_parser_rule(inits, body, source):
+    """Each fault the parser refuses is refused, with its text, by the
+    LoopProgram constructor, so polynomialize and simulate never see it."""
+    with pytest.raises(ParseError) as parsed:
+        parse(source)
+    with pytest.raises(ValueError) as built:
+        LoopProgram(inits, body)
+    assert type(built.value) is ValueError
+    assert parsed.value.args[0].endswith(": " + built.value.args[0])
+
+
 def test_error_reserved_name():
     with pytest.raises(ParseError, match="reserved"):
         parse("cos = 2\nwhile true { x := 1 }")
