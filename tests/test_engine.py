@@ -878,6 +878,21 @@ def test_products_that_underflow_to_zero_are_dropped():
     _assert_kernel_matches_dict_sweep(pp, [(0, 1)])
 
 
+def test_draw_read_before_it_is_drawn_is_not_folded():
+    """A read above its draw is refused when the program is built, so it
+    never reaches _folds; moved above its reader, the draw is folded."""
+    w = Density.normal(0, 1)
+    with pytest.raises(ValueError, match="'w' is read before it is drawn"):
+        LoopProgram([Init("x", 0.0)], [Assign("x", BinOp("+", Var("x"), Var("w"))), DistDraw("w", w)])
+    pp = polynomialize(LoopProgram(
+        [Init("x", 0.0)], [DistDraw("w", w), Assign("x", BinOp("+", Var("x"), Var("w")))],
+    ))
+    assert engine._folds(pp) == {1: [(1, w)]}
+    # E[(x + w)^2] = x^2 + E[w^2], taken with w inside the update's powers
+    _, step = close_monomials(pp, [(2,)])
+    assert step[(2,)].terms == {(2, 0): 1.0, (0, 0): 1.0}
+
+
 def _wide_exponent_loop():
     """Eight state variables whose draws all come first.  Each w_i feeds
     two updates, x_i's as w_i^7 and x_(i-1)'s as w_i, so no draw is folded:
