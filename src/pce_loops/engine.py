@@ -1,8 +1,10 @@
 """Loop transformation and moment computation.
 
-polynomialize replaces every sin/cos/exp/log call in a loop by its PCE
-polynomial (germ substituted by the call argument); expansions are memoized
-across calls, so re-polynomializing a program expands nothing twice.
+polynomialize evaluates each update of a loop over MultiPoly with
+lang.eval_expr, which hands it every sin/cos/exp/log call to replace by its
+PCE polynomial (germ substituted by the call argument); engine reads no
+expression node itself.  Expansions are memoized across calls, so
+re-polynomializing a program expands nothing twice.
 close_monomials finds the finite monomial set a target's expectation
 recursion lives on, with each member's one-step expectation as a MultiPoly,
 and propagate turns one loop iteration into a linear map on that set,
@@ -25,6 +27,7 @@ what it did.  A closure miss builds an update's powers when a sweep first
 needs them, and all of its sweeps share them.
 """
 
+import functools
 import os
 import threading
 from collections import OrderedDict
@@ -32,8 +35,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .dist import Density, affine_law
-from .lang import (NUMPY_CALLS, BinOp, Call, Const, DistDraw, Pow, Var, eval_expr,
-                   validate_conditions, well_formed)
+from .lang import NUMPY_CALLS, DistDraw, _stable, eval_expr, expr_calls, well_formed
 from .orthopoly import _degree
 from .pce import expand
 from .poly import MultiPoly
@@ -176,9 +178,19 @@ def parse_monomial(text, variables):
 
 
 def _monomial(m, variables):
-    """m as an exponent tuple: a string is parsed, anything else taken as
-    the exponents."""
-    return parse_monomial(m, variables) if isinstance(m, str) else tuple(m)
+    """m as an exponent tuple over variables: a string is parsed, anything
+    else taken as the exponents, one nonnegative integer per variable, or a
+    ValueError names it."""
+    if isinstance(m, str):
+        return parse_monomial(m, variables)
+    m = tuple(m)
+    if len(m) != len(variables):
+        raise ValueError(f"target {m} does not match state variables {variables}")
+    if not all(type(p) is int for p in m):
+        m = tuple(_degree(p, f"exponent in target {m}") for p in m)
+    if min(m, default=0) < 0:
+        raise ValueError(f"target {m} has a negative exponent")
+    return m
 
 
 class PolynomializedProgram:
@@ -202,6 +214,10 @@ class PolynomializedProgram:
         self.all_vars = self.state_vars + self.draw_vars
         self.var_index = {v: i for i, v in enumerate(self.all_vars)}
         self.body = list(body)  # ("draw", var, Density) | ("assign", var, MultiPoly)
+        for kind, var, p in self.body:
+            if kind == "assign" and p.arity != len(self.all_vars):
+                raise ValueError(f"update {var!r} is a polynomial in {p.arity} variables, "
+                                 f"not in the {len(self.all_vars)} of {self.all_vars}")
         self.reads = [None if kind == "draw" else _fields(p, self.all_vars)
                       for kind, _, p in self.body]
         lists = well_formed([i.var for i in program.inits],
@@ -230,20 +246,22 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
     """Replace non-polynomial calls with PCE polynomials.
 
     degree and germ set the default expansion config; per_site maps a call
-    site index (textual order, as listed by validate_conditions) to a dict
-    with optional "degree" and "germ" entries; an entry that names no call
-    site or holds another field is refused, and so is a degree that is not
-    an integer (a bool, a float).  Stable sites read their germ
-    off the argument's polynomial when it is affine in one draw;
-    accumulating sites fall back to the standard normal reference germ.
+    site index (textual order, each update's calls in expr_calls order, as
+    validate_conditions lists them) to a dict with optional "degree" and
+    "germ" entries; an entry that names no call site or holds another
+    field is refused, and so is a degree that is not an integer (a bool, a
+    float).  Each update is evaluated over MultiPoly by eval_expr, which
+    hands each call, with its argument's polynomial, to the replacement in
+    site order.  Stable sites read their germ off the argument's
+    polynomial when it is affine in one draw; accumulating sites fall back
+    to the standard normal reference germ.
     """
-    report = validate_conditions(program)
-    sites = report["call_sites"]
+    n_sites = sum(len(expr_calls(u.expr)) for u in program.body if not isinstance(u, DistDraw))
     per_site = per_site or {}
     for site, cfg in per_site.items():
-        if site not in range(len(sites)):
+        if site not in range(n_sites):
             raise ValueError(f"per_site entry {site!r} names no call site; "
-                             f"the program has {len(sites)}")
+                             f"the program has {n_sites}")
         unknown = set(cfg) - {"degree", "germ"}
         if unknown:
             raise ValueError(f"per_site entry {site!r}: unknown field "
@@ -251,8 +269,9 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
                              "fields are 'degree' and 'germ'")
     draw_density = {u.var: u.density for u in program.body if isinstance(u, DistDraw)}
     all_vars = program.state_vars + program.draw_vars
-    index = {v: i for i, v in enumerate(all_vars)}
     arity = len(all_vars)
+    env = {v: MultiPoly.variable(arity, i) for i, v in enumerate(all_vars)}
+    const = functools.partial(MultiPoly.constant, arity)
 
     provenance = []
 
@@ -270,19 +289,20 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         d = draw_density[all_vars[exp.index(1)]]
         return d if (a, b) == (1.0, 0.0) else affine_law(d, a, b)
 
-    def replace_call(call, arg_poly):
-        # sites are replaced in textual order, so one record per site so far
+    def replace_call(update, call, arg_poly):
+        # eval_expr meets the sites in textual order, one record per site so far
         i = len(provenance)
-        site, cfg = sites[i], per_site.get(i, {})
+        cfg = per_site.get(i, {})
         deg = _degree(cfg.get("degree", degree),
                       f"per_site entry {i}: degree" if "degree" in cfg else "degree")
+        stable = _stable(call.arg, program.draw_vars)
         g = cfg.get("germ", germ)
         if g is None:
-            if site["iteration_stable"]:
+            if stable:
                 g = stable_germ(arg_poly)
                 if g is None:
                     raise ValueError(
-                        f"call site {i} ({site['function']}({site['argument']})): "
+                        f"call site {i} ({call.render()}): "
                         "cannot infer a germ from the argument; configure one per site"
                     )
             else:
@@ -290,10 +310,10 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         exp_obj = _expansion(call.fn, g, deg, n_nodes)
         provenance.append({
             "site": i,
-            "update": site["update"],
+            "update": update,
             "function": call.fn,
-            "argument": site["argument"],
-            "iteration_stable": site["iteration_stable"],
+            "argument": call.arg.render(),
+            "iteration_stable": stable,
             "germ": g.to_dict(),
             "degree": deg,
             "coeffs": [float(c) for c in exp_obj.coeffs],
@@ -301,26 +321,13 @@ def polynomialize(program, degree=5, germ=None, per_site=None, n_nodes=DEFAULT_N
         })
         return _compose(exp_obj, arg_poly)
 
-    def to_poly(e):
-        if isinstance(e, Const):
-            return MultiPoly.constant(arity, e.value)
-        if isinstance(e, Var):
-            return MultiPoly.variable(arity, index[e.name])
-        if isinstance(e, BinOp):
-            a, b = to_poly(e.left), to_poly(e.right)
-            return a + b if e.op == "+" else a - b if e.op == "-" else a * b
-        if isinstance(e, Pow):
-            return to_poly(e.base) ** e.exponent
-        if isinstance(e, Call):
-            return replace_call(e, to_poly(e.arg))
-        raise TypeError(f"not an expression node: {e!r}")
-
     body = []
     for u in program.body:
         if isinstance(u, DistDraw):
             body.append(("draw", u.var, u.density))
         else:
-            body.append(("assign", u.var, to_poly(u.expr)))
+            call = functools.partial(replace_call, u.var)
+            body.append(("assign", u.var, eval_expr(u.expr, env, const, call)))
     return PolynomializedProgram(program, program.state_vars, program.draw_vars, body,
                                  provenance)
 
@@ -627,8 +634,6 @@ def _close(pp, targets):
     seeds = {(0,) * k}
     for t in targets:
         t = _monomial(t, pp.state_vars)
-        if len(t) != k:
-            raise ValueError(f"target {t} does not match state variables {pp.state_vars}")
         seeds.add(t)
         for i, p in enumerate(t):
             if p:
@@ -736,6 +741,7 @@ def propagate(pp, targets, iterations):
     iteration n, over a monomial set closed under every one of them, and
     refuses to go past its last iteration.
     """
+    iterations = _degree(iterations, "iterations")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if not isinstance(pp, PolynomializedProgram):
@@ -777,6 +783,7 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
     4.  Reproducible for a fixed seed regardless of thread count: sample
     chunks get independent child seeds and partial sums merge in chunk order.
     """
+    iterations, samples = _degree(iterations, "iterations"), _degree(samples, "samples")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if samples < 1:
@@ -859,6 +866,7 @@ def lagrange_schedule(program, site_index, iterations, germs, degree=5,
     iteration n, up to N and no further.  The site appears in provenance
     once per iteration.
     """
+    iterations = _degree(iterations, "iterations")
     if iterations < 1:
         raise ValueError("need at least one iteration (N >= 1)")
     germs = list(germs)

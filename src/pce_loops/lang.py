@@ -24,11 +24,18 @@ iteration: an init or an update above it, for a drawn variable its draw,
 which replaces any init.  well_formed alone decides this, for every
 LoopProgram, parsed or built in Python, and engine.PolynomializedProgram.
 
-The parser is total: any input yields either a LoopProgram or a ParseError
-carrying line and column.
+The AST has one children-first walk, _walk, and free_vars, expr_calls and
+eval_expr, the one evaluator (over floats, arrays or MultiPoly), are built
+on it; a new node type adds a case to _walk and eval_expr, a render method
+and a parser rule.  _stable alone says whether a call site is iteration-stable.
+
+The tokenizer matches one pattern, _TOKEN.  The parser is total: any input
+yields either a LoopProgram or a ParseError carrying line and column.
 """
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,36 +66,35 @@ class ParseError(ValueError):
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class _Node:
+    """Base of the expression nodes."""
 
     def free_vars(self):
-        return set()
+        return _walk(self, lambda e, below: {e.name} if isinstance(e, Var)
+                     else set().union(*below))
+
+
+@dataclass(frozen=True)
+class Const(_Node):
+    value: float
 
     def render(self):
         return _number(self.value)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
-
-    def free_vars(self):
-        return {self.name}
 
     def render(self):
         return self.name
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - *
     left: "Expr"
     right: "Expr"
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
 
     def render(self):
         l, r = self.left.render(), self.right.render()
@@ -103,12 +109,9 @@ class BinOp:
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "Expr"
     exponent: int
-
-    def free_vars(self):
-        return self.base.free_vars()
 
     def render(self):
         b = self.base.render()
@@ -118,12 +121,9 @@ class Pow:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expr"
-
-    def free_vars(self):
-        return self.arg.free_vars()
 
     def render(self):
         return f"{self.fn}({self.arg.render()})"
@@ -132,37 +132,59 @@ class Call:
 Expr = Union[Const, Var, BinOp, Pow, Call]
 
 
-def eval_expr(e, env):
-    """Evaluate over an environment of floats or numpy arrays."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
+def _walk(e, visit):
+    """visit(node, its children's results) at every node of e, children
+    first and left to right: the one traversal of the AST.  Returns the
+    result at e."""
     if isinstance(e, BinOp):
-        a, b = eval_expr(e.left, env), eval_expr(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        return a * b
+        return visit(e, (_walk(e.left, visit), _walk(e.right, visit)))
     if isinstance(e, Pow):
-        return eval_expr(e.base, env) ** e.exponent
+        return visit(e, (_walk(e.base, visit),))
     if isinstance(e, Call):
-        return NUMPY_CALLS[e.fn](eval_expr(e.arg, env))
-    raise TypeError(f"not an expression node: {e!r}")
+        return visit(e, (_walk(e.arg, visit),))
+    return visit(e, ())
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def eval_expr(e, env, const=None, call=None):
+    """Evaluate e, reading each variable from env.  By default over floats
+    or numpy arrays; const(value) makes a literal's value in another
+    domain, and call(node, value of its argument) stands for every call,
+    which meets the calls in expr_calls order."""
+
+    def visit(node, below):
+        if isinstance(node, Const):
+            return node.value if const is None else const(node.value)
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, BinOp):
+            return _OPS[node.op](*below)
+        if isinstance(node, Pow):
+            return below[0] ** node.exponent
+        if isinstance(node, Call):
+            return NUMPY_CALLS[node.fn](below[0]) if call is None else call(node, below[0])
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return _walk(e, visit)
 
 
 def expr_calls(e):
-    """All Call nodes in the expression, left to right."""
-    if isinstance(e, (Const, Var)):
-        return []
-    if isinstance(e, BinOp):
-        return expr_calls(e.left) + expr_calls(e.right)
-    if isinstance(e, Pow):
-        return expr_calls(e.base)
-    if isinstance(e, Call):
-        return expr_calls(e.arg) + [e]
-    raise TypeError(f"not an expression node: {e!r}")
+    """All Call nodes in the expression, left to right, each after the
+    calls in its argument."""
+
+    def visit(node, below):
+        calls = [c for b in below for c in b]
+        return calls + [node] if isinstance(node, Call) else calls
+
+    return _walk(e, visit)
+
+
+def _stable(arg, draw_vars):
+    """Whether a call with argument arg is iteration-stable: arg reads only
+    this iteration's draws, so its distribution is the same every time."""
+    return arg.free_vars() <= set(draw_vars)
 
 
 # -- program ---------------------------------------------------------------
@@ -234,8 +256,18 @@ class LoopProgram:
 
 # -- tokenizer -------------------------------------------------------------
 
-# Numbers take ASCII digits only; str.isdigit would let '²' through to float.
-_DIGITS = frozenset("0123456789")
+# The token at a position of one line: spaces, then the first alternative
+# that matches.  A comment ends the line; BAD, any other character but a
+# space, is an error.  Numbers take ASCII digits only ([0-9], not \d):
+# float would read '٣'.  \w is str.isalnum or '_'; a name must also start
+# with a letter or '_', which _tokenize checks, so '²' or '½' is no name.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<COMMENT>\#.*)
+  | (?P<NUMBER>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<IDENT>\w+)
+  | (?P<SYMBOL>:=|[=+\-*^(){},])
+  | (?P<BAD>[^ \t\r]))
+""", re.VERBOSE)
 
 
 class _Token:
@@ -249,64 +281,20 @@ class _Token:
 
 
 def _tokenize(src):
+    """The tokens of src, each with its line and column (a tab is one
+    column), ending in EOF; end of input after a trailing comment is at its
+    '#'."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c in _DIGITS or (c == "." and i + 1 < n and src[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k] in _DIGITS:
-                    while k < n and src[k] in _DIGITS:
-                        k += 1
-                    j = k
-            text = src[i:j]
-            tokens.append(_Token("NUMBER", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if src.startswith(":=", i):
-            tokens.append(_Token("SYMBOL", ":=", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in "=+-*^(){},":
-            tokens.append(_Token("SYMBOL", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    for line, row in enumerate(src.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            kind = m.lastgroup
+            if kind == "COMMENT":
+                break
+            text, col = m.group(kind), m.start(kind) + 1
+            if kind == "BAD" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+            tokens.append(_Token(kind, text, line, col))
+    tokens.append(_Token("EOF", "", line, len(row.partition("#")[0]) + 1))
     return tokens
 
 
@@ -539,10 +527,9 @@ def render(program):
 def validate_conditions(program):
     """Classify call sites and report which structural conditions hold.
 
-    A call site is iteration-stable when its argument only involves fresh
-    draws of the current iteration (same distribution every time around the
-    loop); arguments that touch state variables accumulate stochasticity
-    across iterations and need a reference germ instead.
+    Sites are numbered in textual order, each update's in expr_calls
+    order.  A site is iteration-stable when _stable says so; one whose
+    argument reads state needs a reference germ instead.
     """
     draw_set = set(program.draw_vars)
     sites = []
@@ -550,8 +537,7 @@ def validate_conditions(program):
         if not isinstance(u, Assign):
             continue
         for call in expr_calls(u.expr):
-            arg_vars = call.arg.free_vars()
-            stable = arg_vars <= draw_set
+            stable = _stable(call.arg, draw_set)
             sites.append({
                 "update": u.var,
                 "update_index": idx,
@@ -562,7 +548,7 @@ def validate_conditions(program):
                     "argument involves only per-iteration draws"
                     if stable
                     else "argument reads state variables: "
-                    + ", ".join(sorted(arg_vars - draw_set))
+                    + ", ".join(sorted(call.arg.free_vars() - draw_set))
                 ),
             })
 

@@ -144,6 +144,20 @@ def test_a_polynomialized_program_is_well_formed_when_built():
                                          {"v", "w1"}, {"psi", "w2"}]
 
 
+@pytest.mark.parametrize("arity", [1, 3])
+def test_a_polynomialized_program_refuses_an_update_of_another_arity(arity):
+    """x := x + w is a polynomial in (x, w); one in more or fewer variables
+    is refused where it is built, not in propagate."""
+    prog = parse(WALK)
+    draw, (kind, var, poly) = polynomialize(prog).body
+    wrong = MultiPoly.variable(arity, 0) + MultiPoly.constant(arity, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"update 'x' is a polynomial in {arity} variables, not in the 2 of ['x', 'w']")):
+        PolynomializedProgram(prog, ["x"], ["w"], [draw, (kind, var, wrong)], [])
+    rebuilt = PolynomializedProgram(prog, ["x"], ["w"], [draw, (kind, var, poly)], [])
+    assert rebuilt.body[1][2] == poly
+
+
 def test_vehicle_closure_stays_small():
     """The x recursion only ever needs v times even powers of the heading."""
     prog = parse_file(program_path("turning.ppl"))
@@ -300,6 +314,22 @@ def test_negative_iterations_and_empty_samples_are_refused():
     assert propagate(prog, ["x"], 0).iterations == 0
 
 
+@pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
+def test_counts_that_are_not_integers_are_refused(count):
+    prog = parse(WALK)
+    refused = re.escape(f"iterations must be an integer, not {count!r}")
+    with pytest.raises(ValueError, match=refused):
+        propagate(prog, ["x"], count)
+    with pytest.raises(ValueError, match=refused):
+        simulate(prog, count, samples=10)
+    with pytest.raises(ValueError, match=refused):
+        lagrange_schedule(parse(DRIFT), 0, count, [Density.normal(0, 1)] * 2, degree=4)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer, not {count!r}")):
+        simulate(prog, 3, samples=count)
+    assert propagate(prog, ["x"], np.int64(2)).iterations == 2
+    assert simulate(prog, np.int64(2), samples=np.int64(10)).iterations == 2
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_simulate_refuses_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads"):
@@ -438,6 +468,28 @@ def test_parse_monomial_refuses_powers_that_are_not_nonnegative_integers(text):
     factor = text.split("*")[-1]
     with pytest.raises(ValueError, match=re.escape(f"power in '{factor}'")):
         parse_monomial(text, ["x", "y"])
+
+
+@pytest.mark.parametrize("target, message", [
+    ((1.5, 0, 0, 0), "exponent in target (1.5, 0, 0, 0) must be an integer, not 1.5"),
+    ((True, 0, 0, 0), "exponent in target (True, 0, 0, 0) must be an integer, not True"),
+    ((-1, 0, 0, 0), "target (-1, 0, 0, 0) has a negative exponent"),
+    ((1, 0), "target (1, 0) does not match state variables ['x', 'y', 'v', 'psi']"),
+    ((1, 0, 0, 0, 0), "target (1, 0, 0, 0, 0) does not match state variables"),
+])
+def test_target_exponent_tuples_are_checked(target, message):
+    """Every way in for an exponent tuple (propagate, simulate,
+    close_monomials and a table's column) refuses one that is not a
+    nonnegative integer per state variable."""
+    pp = polynomialize(parse_file(program_path("turning.ppl")), 3)
+    table = propagate(pp, ["x"], 1)
+    for run in (lambda: propagate(pp, [target], 3),
+                lambda: simulate(pp.program, 3, samples=10, targets=[target]),
+                lambda: close_monomials(pp, [target]),
+                lambda: table.column(target)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
+    assert table.column((np.int64(1), 0, 0, 0)) == table.column("x")
 
 
 def _loop_initial_moments(pp, monomials):

@@ -24,6 +24,7 @@ from pce_loops.lang import (
     parse_expression,
     parse_file,
     render,
+    _tokenize,
     validate_conditions,
 )
 
@@ -122,6 +123,57 @@ def test_expr_calls_left_to_right():
     e = parse_expression("cos(x) * (1 + sin(exp(y)))")
     assert [c.fn for c in expr_calls(e)] == ["cos", "exp", "sin"]
     assert expr_calls(e)[2].arg == Call("exp", Var("y"))
+
+
+def test_nested_calls_and_free_vars():
+    e = parse_expression("sin(cos(x)^2 + exp(y*w))")
+    assert [c.fn for c in expr_calls(e)] == ["cos", "exp", "sin"]
+    assert [c.arg for c in expr_calls(e)[:2]] == [Var("x"), BinOp("*", Var("y"), Var("w"))]
+    assert expr_calls(e)[2] == e
+    assert e.free_vars() == {"x", "y", "w"}
+    assert expr_calls(e)[1].free_vars() == {"y", "w"}
+    assert Const(1.0).free_vars() == set() and expr_calls(Const(1.0)) == []
+
+
+@pytest.mark.parametrize("source, tokens", [
+    ("1.2.3", [("NUMBER", "1.2", 1, 1), ("NUMBER", ".3", 1, 4), ("EOF", "", 1, 6)]),
+    ("2e", [("NUMBER", "2", 1, 1), ("IDENT", "e", 1, 2), ("EOF", "", 1, 3)]),
+    ("2e+x", [("NUMBER", "2", 1, 1), ("IDENT", "e", 1, 2), ("SYMBOL", "+", 1, 3),
+              ("IDENT", "x", 1, 4), ("EOF", "", 1, 5)]),
+    ("1e+5", [("NUMBER", "1e+5", 1, 1), ("EOF", "", 1, 5)]),
+    ("1.e5", [("NUMBER", "1.e5", 1, 1), ("EOF", "", 1, 5)]),
+    ("x_1", [("IDENT", "x_1", 1, 1), ("EOF", "", 1, 4)]),
+    ("_", [("IDENT", "_", 1, 1), ("EOF", "", 1, 2)]),
+    ("x\u00b2", [("IDENT", "x\u00b2", 1, 1), ("EOF", "", 1, 3)]),
+    ("\u00e9", [("IDENT", "\u00e9", 1, 1), ("EOF", "", 1, 2)]),
+    ("x:=1", [("IDENT", "x", 1, 1), ("SYMBOL", ":=", 1, 2), ("NUMBER", "1", 1, 4),
+              ("EOF", "", 1, 5)]),
+    # a tab and a carriage return are one column each
+    ("\tx\r\n  y", [("IDENT", "x", 1, 2), ("IDENT", "y", 2, 3), ("EOF", "", 2, 4)]),
+    ("a\n\tb # c\n c", [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 2), ("IDENT", "c", 3, 2),
+                        ("EOF", "", 3, 3)]),
+    # end of input after a trailing comment sits at the '#'
+    ("x  # c", [("IDENT", "x", 1, 1), ("EOF", "", 1, 4)]),
+    ("# c", [("EOF", "", 1, 1)]),
+    ("x  ", [("IDENT", "x", 1, 1), ("EOF", "", 1, 4)]),
+    ("", [("EOF", "", 1, 1)]),
+    (".5.", (1, 3)),
+    ("x + \u00b2", (1, 5)),
+    ("\n \u00bd", (2, 2)),
+    ("\t\u216b", (1, 2)),
+    ("x := \u0663", (1, 6)),
+    ("a\n  $", (2, 3)),
+    ("x : 1", (1, 3)),
+])
+def test_tokens(source, tokens):
+    """Each token as (kind, text, line, column), or the line and column of
+    the character the tokenizer refuses."""
+    if isinstance(tokens, tuple):
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            _tokenize(source)
+        assert (exc.value.line, exc.value.col) == tokens
+    else:
+        assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(source)] == tokens
 
 
 def test_error_read_before_draw():
