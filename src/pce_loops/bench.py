@@ -367,7 +367,7 @@ def run_table2(n_nodes=quad.DEFAULT_NODES):
         err_rules = [quad.build_rule(d, max(n_nodes, 96)) for d in germs]
         rules = [quad.build_rule(d, n_nodes) for d in germs]
         bases = _bases(germs, (max(row.degrees),) * k, n_nodes)
-        top = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
+        top = [b.rule_values for b in bases]
         err_top = [b.eval_matrix(r.nodes) for b, r in zip(bases, err_rules)]
         coeffs = _project(_evaluations(row.fn, rules)[0], rules,
                           [_leading(top, deg) for deg in row.degrees])

@@ -19,12 +19,16 @@ iteration are obtained by substituting updates in reverse body order and
 integrating out each fresh draw with the raw moments of its distribution
 (draws are independent of everything sampled before them).  A draw that
 only one update reads is integrated out of that update's powers instead,
-before they are substituted.  A closure and its step map depend only on
-the program's steps and the seed monomials, so one bounded process-wide
-memo, keyed by that content, sits in front of _close: a repeated query or
-schedule body closes nothing again, though a query's first closure costs
-what it did.  A closure miss builds an update's powers when a sweep first
-needs them, and all of its sweeps share them.
+before they are substituted.  A schedule (lagrange_schedule) closes once:
+its N programs share one monomial numbering, and each sweep sends every
+program's rows for its block of monomials through the steps together, an
+update that is the same in every program sharing one set of powers.  A
+closure and its step maps depend only on the programs' steps and the seed
+monomials, so one bounded process-wide memo, keyed by that content, sits in
+front of _close: a repeated query or schedule closes nothing again, though
+a query's first closure costs what it did.  A closure miss builds an
+update's powers when a sweep first needs them, and all of its sweeps share
+them.
 """
 
 import functools
@@ -70,13 +74,17 @@ _MEMO_EXPANSIONS = 64
 _expansions = OrderedDict()
 _expansions_lock = threading.Lock()
 
-# Step nonzeros held by the memo of _close, which maps a program's steps and
-# seed monomials to their closure and step map; the least recently used
-# goes first.  One vehicle-suite pass fills 15 entries with 14,879 nonzeros
-# (24 bytes each); the bound is about 6 MiB of arrays.
+# Step nonzeros held by the memo of _close, which maps programs' steps and
+# seed monomials to their closure and step maps; the least recently used
+# goes first.  One vehicle-suite pass fills 8 entries, one of them its
+# schedule's, with 14,879 nonzeros (24 bytes each); the bound is about
+# 6 MiB of arrays.
 _MEMO_STEP_NONZEROS = 250_000
 _closures = OrderedDict()
 _closures_lock = threading.Lock()
+# id(memo) -> (memo, its entry count, their total weight), as _memoized
+# last left them
+_held = {}
 
 # Reference germ used for accumulating-argument call sites when the caller
 # does not configure one.
@@ -344,17 +352,30 @@ def _memoized(memo, lock, key, build, bound, weigh=lambda value: 1):
     recently used order.  build runs under lock, so threads that race on a
     key build it once.  memo keeps entries whose weights add up to at most
     bound, the least recently used out first, and a heavier value is not
-    stored."""
+    stored.
+
+    The total weight is kept as entries come and go (_held), not summed
+    over the memo on every miss: iterating an OrderedDict's values hashes
+    each key again.  It is summed afresh, without hashing, when the memo is
+    another object or holds another number of entries than last time, as
+    after a clear()."""
     with lock:
         if key in memo:
             memo.move_to_end(key)
             return memo[key]
         value = build()
-        if weigh(value) <= bound:
+        weight = weigh(value)
+        if weight <= bound:
+            held = _held.get(id(memo))
+            if held is None or held[0] is not memo or held[1] != len(memo):
+                total = sum(map(weigh, dict.values(memo)))
+            else:
+                total = held[2]
             memo[key] = value
-            total = sum(map(weigh, memo.values()))
+            total += weight
             while total > bound:
                 total -= weigh(memo.popitem(last=False)[1])
+            _held[id(memo)] = (memo, len(memo), total)
         return value
 
 
@@ -472,18 +493,46 @@ class _Powers:
         return self
 
 
-def _substitute(table, coefs, idx, powers):
+class _Stack:
+    """The _Powers of one update step in each body of a joint closure whose
+    bodies update it differently (_groups), stacked: E[P^k] of body b sits at
+    position b * width + k of first and size, over one table and coefs, and
+    fields is the union of the bodies' fields.  upto builds every body's
+    powers up to top and stacks them again only when one grew."""
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.width = 0
+
+    def upto(self, top):
+        if self.width > top:
+            return self
+        parts = [p.upto(top) for p in self.parts]
+        self.width = top + 1
+        ends = np.cumsum([len(p.coefs) for p in parts])
+        self.table = np.concatenate([p.table for p in parts], axis=1)
+        self.coefs = np.concatenate([p.coefs for p in parts])
+        self.size = np.concatenate([p.size[:self.width] for p in parts])
+        self.first = np.concatenate([p.first[:self.width] + end - len(p.coefs)
+                                     for p, end in zip(parts, ends)])
+        self.fields = sorted(set().union(*(p.fields for p in parts)))
+        return self
+
+
+def _substitute(table, coefs, idx, powers, body=None):
     """Replace field idx's k-th power by E[P^k] (powers, a _Powers) in every
     term.  The terms without the variable come first, then the products of
     each degree in turn: each term of that degree, in input order, times
     every term of the power, in the order MultiPoly multiplication visits
-    the pairs."""
+    the pairs.  With body, each term's body, powers is a _Stack and a term
+    takes its body's power."""
     order = np.argsort(table[idx], kind="stable")
     degrees = table[idx, order]
-    sizes = powers.size[degrees]
+    at = degrees if body is None else body[order] * powers.width + degrees
+    sizes = powers.size[at]
     ends = np.cumsum(sizes)
     source = np.repeat(order, sizes)
-    column = np.arange(ends[-1]) + np.repeat(powers.first[degrees] - ends + sizes, sizes)
+    column = np.arange(ends[-1]) + np.repeat(powers.first[at] - ends + sizes, sizes)
     out = table[:, source]
     out[idx] = 0
     for f in powers.fields:
@@ -491,19 +540,21 @@ def _substitute(table, coefs, idx, powers):
     return out, coefs[source] * powers.coefs[column]
 
 
-def _integrate(table, coefs, idx, moment):
+def _integrate(table, coefs, idx, *moments, body=None):
     """Replace field idx's k-th power by moment(k), the raw moment E[w^k] of
     the random input the field holds, in every term; a power 0 keeps its
-    coefficient as it is, and moment is called once per power present."""
+    coefficient as it is.  moments holds the one raw-moment function, or,
+    with body (each term's body), one per body, and a term takes its
+    body's.  Each is called once per power present."""
     degrees = table[idx]
-    counts = np.bincount(degrees)
-    factor = np.ones(len(counts))
-    for d in np.flatnonzero(counts).tolist():
-        if d:
-            factor[d] = moment(d)
+    factor = np.ones((len(moments), int(degrees.max(initial=0)) + 1))
+    present = [d for d in np.flatnonzero(np.bincount(degrees)).tolist() if d]
+    for row, m in zip(factor, moments):
+        for d in present:
+            row[d] = m(d)
     table = table.copy()
     table[idx] = 0
-    return table, coefs * factor[degrees]
+    return table, coefs * factor[0 if body is None else body, degrees]
 
 
 def _may_merge(table, idx, powers):
@@ -571,37 +622,67 @@ def _steps(pp):
     return tuple(steps)
 
 
-def _sweep(pp, frontier, steps, powers):
-    """One-step expectations of a frontier of state monomials, as a table
-    and coefficients; row r holds the expectation of frontier[r].
+def _groups(steps):
+    """The bodies of a closure in groups of one step layout, from each
+    body's steps (_steps): ((members, joint steps), ...) in order of first
+    appearance, members numbering the bodies.  A layout is the kind and
+    field of every step, in order; the bodies of a schedule share one
+    unless a site stops reading a draw.  A joint step is (kind, field,
+    contents), contents holding the step's content (a draw's density; an
+    update's terms and fold) once when it is equal in every member and once
+    per member otherwise."""
+    layouts = {}
+    for b, body_steps in enumerate(steps):
+        layouts.setdefault(tuple(step[:2] for step in body_steps), []).append(b)
+    groups = []
+    for layout, members in layouts.items():
+        joint = []
+        for pos, (kind, idx) in enumerate(layout):
+            contents = [steps[b][pos][2:] for b in members]
+            if all(c == contents[0] for c in contents[1:]):
+                contents = contents[:1]
+            joint.append((kind, idx, tuple(contents)))
+        groups.append((tuple(members), tuple(joint)))
+    return tuple(groups)
 
-    The whole frontier goes through steps (_steps, reverse body order) at
+
+def _sweep(bodies, frontier, steps, powers):
+    """One-step expectations of a frontier of state monomials under each of
+    bodies, as a table and coefficients: row b * len(frontier) + j holds the
+    expectation of frontier[j] under bodies[b].
+
+    Every row goes through the joint steps (_groups, reverse body order) at
     once: an update replaces var^k by E[P^k], the k-th power of its
     polynomial with its folded draws integrated out, and a draw left
-    unfolded replaces w^k by E[w^k].  powers maps a step's position to its
-    update's _Powers; a step that finds none there makes it, so the sweeps
-    that share powers build each update's powers once, and only for the
-    updates whose variable they meet.  Equal terms are combined after each
-    step that can make any (_may_merge); otherwise only exact zeros are
-    dropped."""
-    n = len(frontier)
-    k = len(pp.state_vars)
-    table = np.zeros((len(pp.all_vars) + 1, n), dtype=np.int64)
-    table[:k] = np.array(frontier, dtype=np.int64).reshape(n, k).T
-    table[-1] = np.arange(n)
-    coefs = np.ones(n)
-    for pos, (kind, idx, *content) in enumerate(steps):
+    unfolded replaces w^k by E[w^k]; a step whose content differs between
+    bodies takes each term's power or moment from its row's body.  powers
+    maps a step's position to its update's _Powers, or _Stack when the
+    bodies differ there; a step that finds none there makes it, so the
+    sweeps that share powers build each update's powers once, and only for
+    the updates whose variable they meet.  Equal terms are combined after
+    each step that can make any (_may_merge); otherwise only exact zeros are
+    dropped.  No row's terms depend on the other rows."""
+    pp = bodies[0]
+    n, k = len(frontier), len(pp.state_vars)
+    table = np.zeros((len(pp.all_vars) + 1, n * len(bodies)), dtype=np.int64)
+    table[:k] = np.tile(np.array(frontier, dtype=np.int64).reshape(n, k).T, len(bodies))
+    table[-1] = np.arange(table.shape[1])
+    coefs = np.ones(table.shape[1])
+    for pos, (kind, idx, contents) in enumerate(steps):
         top = int(table[idx].max(initial=0))
         if not top:
             continue
+        body = None if len(contents) == 1 else table[-1] // n
         if kind == "draw":
-            table, coefs = _combine(*_integrate(table, coefs, idx, content[0].raw_moment))
+            moments = [density.raw_moment for (density,) in contents]
+            table, coefs = _combine(*_integrate(table, coefs, idx, *moments, body=body))
             continue
         if pos not in powers:
-            powers[pos] = _Powers(len(pp.all_vars), *content)
+            made = [_Powers(len(pp.all_vars), *c) for c in contents]
+            powers[pos] = made[0] if body is None else _Stack(made)
         power = powers[pos].upto(top)
         merge = _may_merge(table, idx, power)
-        table, coefs = _substitute(table, coefs, idx, power)
+        table, coefs = _substitute(table, coefs, idx, power, body)
         if merge:
             table, coefs = _combine(table, coefs)
         elif not coefs.all():
@@ -613,23 +694,35 @@ def _sweep(pp, frontier, steps, powers):
 def one_step_expectation(pp, monomial):
     """Expectation of a state monomial after one iteration, as a polynomial
     in the previous iteration's state monomials."""
-    table, coefs = _sweep(pp, [tuple(monomial)], _steps(pp), {})
+    ((_, steps),) = _groups((_steps(pp),))
+    table, coefs = _sweep((pp,), [tuple(monomial)], steps, {})
     return MultiPoly._trusted(len(pp.all_vars), dict(zip(map(tuple, table[:-1].T.tolist()),
                                                           coefs.tolist())))
 
 
-def _close(pp, targets):
-    """close_monomials' closure in sorted order, and its step map as COO
-    triplets (rows, cols, data) over that order, read-only.
+def _close(bodies, targets):
+    """close_monomials' closure under every one of bodies, in sorted order,
+    and each body's step map as COO triplets (rows, cols, data) over that
+    order, read-only.
 
-    targets are monomial strings or exponent tuples over the state
-    variables.  The result depends only on the steps of the program and on
-    the seed set, so one process-wide memo (_closures) holds it under the
-    state and variable counts, the steps as _steps gives them, whose
-    densities compare by value, and the sorted seeds.  Only a miss builds
-    update powers.  A hit returns the stored arrays and a fresh list of the
-    order.  A closure that raises stores nothing, and the memo holds at
-    most _MEMO_STEP_NONZEROS step nonzeros, least recently used out first."""
+    bodies are programs over the same variables, such as the programs of a
+    schedule; a single program stands for the one-program tuple and gets
+    its one map back unwrapped.  They close once, as one joint frontier
+    (_closure), and each map is bitwise the one that closing its program
+    alone over the returned order gives.  targets are monomial strings or
+    exponent tuples over the state variables.  The result depends only on
+    the steps of the bodies and on the seed set, so one process-wide memo
+    (_closures) holds it under the state and variable counts, every body's
+    steps as _steps gives them, whose densities compare by value, and the
+    sorted seeds.  Only a miss builds update powers.  A hit returns the
+    stored arrays and a fresh list of the order.  A closure that raises
+    stores nothing, and the memo holds at most _MEMO_STEP_NONZEROS step
+    nonzeros, least recently used out first."""
+    alone = isinstance(bodies, PolynomializedProgram)
+    bodies = (bodies,) if alone else tuple(bodies)
+    pp = bodies[0]
+    if any((b.state_vars, b.draw_vars) != (pp.state_vars, pp.draw_vars) for b in bodies):
+        raise ValueError("the programs of one closure must share their variables")
     k = len(pp.state_vars)
     seeds = {(0,) * k}
     for t in targets:
@@ -641,65 +734,75 @@ def _close(pp, targets):
                 unit[i] = 1
                 seeds.add(tuple(unit))
     seeds = tuple(sorted(seeds))
-    steps = _steps(pp)
-    order, step_map = _memoized(_closures, _closures_lock, (k, len(pp.all_vars), steps, seeds),
-                                lambda: _closure(pp, seeds, steps),
-                                _MEMO_STEP_NONZEROS, weigh=lambda closure: len(closure[1][2]))
-    return list(order), step_map
+    steps = tuple(_steps(b) for b in bodies)
+    order, maps = _memoized(_closures, _closures_lock, (k, len(pp.all_vars), steps, seeds),
+                            lambda: _closure(bodies, seeds, _groups(steps)),
+                            _MEMO_STEP_NONZEROS,
+                            weigh=lambda closure: sum(len(m[2]) for m in closure[1]))
+    return list(order), maps[0] if alone else maps
 
 
-def _closure(pp, monomials, steps):
-    """_close's result, built from the sorted seed monomials and the steps
-    of pp (_steps).
+def _closure(bodies, monomials, groups):
+    """_close's result for a tuple of bodies, built from the sorted seed
+    monomials and the bodies' groups of one step layout (_groups).
 
-    Monomials are numbered as they are met and swept in that order, which is
-    breadth first, _SWEEP_ROWS at a time, all sweeps sharing one map of
-    update powers, each built when a sweep first needs it; a term's row is
-    its sweep's row field plus the number of the sweep's first monomial,
-    and its column the number of its state exponents, looked up once per
-    distinct exponent column.  Draw exponents are zero after a sweep and
-    are dropped with the table.  A stable sort by row keeps each row's terms
-    in sweep order, so np.bincount adds them in the order MultiPoly
-    arithmetic with the same folded powers would."""
-    k = len(pp.state_vars)
+    Monomials are numbered once, as they are met, and swept in that order,
+    which is breadth first: each block of max(1, _SWEEP_ROWS // len(bodies))
+    monomials goes through each group in one sweep, one row per (body,
+    monomial) pair, so a sweep holds at most max(_SWEEP_ROWS, len(bodies))
+    rows.  A group's sweeps share one map of update powers, each built when
+    a sweep first needs it.  A term's row is the number of its row's
+    monomial and its column the number of its state exponents, looked up
+    once per distinct exponent column.  Draw exponents are zero after a
+    sweep and are dropped with the table.  A stable sort by body and row
+    keeps each row's terms in sweep order, so np.bincount adds them in the
+    order MultiPoly arithmetic with the same folded powers would."""
+    k = len(bodies[0].state_vars)
+    block = max(1, _SWEEP_ROWS // len(bodies))
+    groups = [(np.array(members), [bodies[b] for b in members], steps, {})
+              for members, steps in groups]
     monomials = list(monomials)
     number = {m: i for i, m in enumerate(monomials)}
-    rows, cols, data = [], [], []
-    powers = {}
+    owners, rows, cols, data = [], [], [], []
     swept = 0
     while swept < len(monomials):
-        block = monomials[swept:swept + _SWEEP_ROWS]
-        table, coefs = _sweep(pp, block, steps, powers)
-        group, pick = _first_occurrences(table[:k])
-        met = []
-        for m in map(tuple, table[:k, pick].T.tolist()):
-            if m not in number:
-                if sum(m) > DEGREE_LIMIT:
-                    raise ValueError(
-                        f"monomial degree {sum(m)} exceeds {DEGREE_LIMIT}; "
-                        "the loop is not moment-computable in this form"
-                    )
-                number[m] = len(monomials)
-                monomials.append(m)
-                if len(monomials) > CLOSURE_LIMIT:
-                    raise ValueError(
-                        f"monomial closure exceeds {CLOSURE_LIMIT}; "
-                        "the loop is not moment-computable in this form"
-                    )
-            met.append(number[m])
-        rows.append(table[-1] + swept)
-        cols.append(np.array(met, dtype=np.intp)[group])
-        data.append(coefs)
-        swept += len(block)
+        frontier = monomials[swept:swept + block]
+        for members, group, steps, powers in groups:
+            table, coefs = _sweep(group, frontier, steps, powers)
+            column, pick = _first_occurrences(table[:k])
+            met = []
+            for m in map(tuple, table[:k, pick].T.tolist()):
+                if m not in number:
+                    if sum(m) > DEGREE_LIMIT:
+                        raise ValueError(
+                            f"monomial degree {sum(m)} exceeds {DEGREE_LIMIT}; "
+                            "the loop is not moment-computable in this form"
+                        )
+                    number[m] = len(monomials)
+                    monomials.append(m)
+                    if len(monomials) > CLOSURE_LIMIT:
+                        raise ValueError(
+                            f"monomial closure exceeds {CLOSURE_LIMIT}; "
+                            "the loop is not moment-computable in this form"
+                        )
+                met.append(number[m])
+            member, row = np.divmod(table[-1], len(frontier))
+            owners.append(members[member])
+            rows.append(row + swept)
+            cols.append(np.array(met, dtype=np.intp)[column])
+            data.append(coefs)
+        swept += len(frontier)
     by_number = sorted(range(len(monomials)), key=monomials.__getitem__)
     rank = np.empty(len(monomials), dtype=np.intp)
     rank[by_number] = np.arange(len(monomials))
-    rows = rank[np.concatenate(rows)]
-    by_row = np.argsort(rows, kind="stable")
-    step_map = (rows[by_row], rank[np.concatenate(cols)][by_row], np.concatenate(data)[by_row])
-    for a in step_map:
+    owners, rows = np.concatenate(owners), rank[np.concatenate(rows)]
+    by_row = np.argsort(owners * len(monomials) + rows, kind="stable")
+    arrays = (rows[by_row], rank[np.concatenate(cols)][by_row], np.concatenate(data)[by_row])
+    for a in arrays:
         a.setflags(write=False)
-    return tuple(monomials[i] for i in by_number), step_map
+    ends = np.searchsorted(owners[by_row], np.arange(len(bodies) + 1)).tolist()
+    return (tuple(monomials[i] for i in by_number),
+            tuple(tuple(a[lo:hi] for a in arrays) for lo, hi in zip(ends, ends[1:])))
 
 
 def close_monomials(pp, targets):
@@ -739,7 +842,8 @@ def propagate(pp, targets, iterations):
     are monomial strings ("x", "x^2*y") or exponent tuples over the state
     variables.  A scheduled program applies its n-th program's step map at
     iteration n, over a monomial set closed under every one of them, and
-    refuses to go past its last iteration.
+    refuses to go past its last iteration.  Its programs close once, as one
+    joint frontier (_close).
     """
     iterations = _degree(iterations, "iterations")
     if iterations < 0:
@@ -750,20 +854,12 @@ def propagate(pp, targets, iterations):
     bodies = pp.schedule or (pp,)
     if pp.schedule and iterations > len(bodies):
         raise ValueError(f"the schedule covers {len(bodies)} iterations, not {iterations}")
-    # each body is closed over the closure so far, so bodies that share a
-    # support take one sweep each after the first; every body's closure
-    # holds the set it was closed over, and the last one is the union
-    order, closed = tgt, []
-    while not closed or any(len(closure) < len(order) for closure, _ in closed):
-        closed = []
-        for body in bodies:
-            closed.append(_close(body, order))
-            order = closed[-1][0]
+    order, maps = _close(bodies, tgt)
 
     values = np.empty((iterations + 1, len(order)))
     values[0] = _initial_moments(pp, order)
     for n in range(1, iterations + 1):
-        rows, cols, data = closed[min(n, len(closed)) - 1][1]
+        rows, cols, data = maps[min(n, len(maps)) - 1]
         values[n] = np.bincount(rows, weights=data * values[n - 1][cols],
                                 minlength=len(order))
     unit = order.index((0,) * len(pp.state_vars))
@@ -782,8 +878,13 @@ def simulate(program, iterations, samples=10**6, seed=0, targets=None,
     threads is the number of worker threads, by default the CPU count up to
     4.  Reproducible for a fixed seed regardless of thread count: sample
     chunks get independent child seeds and partial sums merge in chunk order.
+    iterations, samples, chunk_size and threads must be integers, and a
+    bool or a float is refused.
     """
     iterations, samples = _degree(iterations, "iterations"), _degree(samples, "samples")
+    chunk_size = _degree(chunk_size, "chunk_size")
+    if threads is not None:
+        threads = _degree(threads, "threads")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if samples < 1:
@@ -863,8 +964,9 @@ def lagrange_schedule(program, site_index, iterations, germs, degree=5,
     n = 1..iterations.  Iteration n's program is the loop polynomialized
     with germs[n - 1] at the site, and the returned program's schedule
     holds the N of them; propagate applies the n-th one's step map at
-    iteration n, up to N and no further.  The site appears in provenance
-    once per iteration.
+    iteration n, up to N and no further.  The N programs close once, as one
+    joint frontier of N rows per monomial, not once each.  The site appears
+    in provenance once per iteration.
     """
     iterations = _degree(iterations, "iterations")
     if iterations < 1:

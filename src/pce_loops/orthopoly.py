@@ -34,19 +34,27 @@ class GramSchmidtError(RuntimeError):
 class OrthonormalBasis:
     """Orthonormal polynomials of one density, index = degree.
 
-    polys holds the raw-x UniPoly forms (display, assembly), built on first
-    read; evaluation runs the recurrence on the points, which stays stable at
-    high degree.
+    raw holds the raw-x coefficients, row j those of p_j from x^0 up
+    (estimator assembly), and polys the same as UniPolys (display), both
+    built on first read; evaluation runs the recurrence on the points, which
+    stays stable at high degree.  rule_values is the value matrix on the
+    Gauss rule that gram_schmidt checked the basis on, read-only, None
+    before a check.
     """
 
     def __init__(self, density, alphas, offdiag, gram_residual):
         self.density = density
         self._jacobi = (alphas, offdiag)
         self.gram_residual = gram_residual
+        self.rule_values = None
+
+    @functools.cached_property
+    def raw(self):
+        return _raw_coefficients(*self._jacobi)
 
     @functools.cached_property
     def polys(self):
-        return _raw_polys(*self._jacobi)
+        return _raw_polys(self.raw)
 
     @property
     def max_degree(self):
@@ -66,9 +74,10 @@ class OrthonormalBasis:
         )
 
 
-def _raw_polys(alphas, offdiag):
-    """p_0 .. p_d as raw-x UniPolys, by the recurrence on coefficient rows;
-    a ValueError names the first degree whose coefficients overflow."""
+def _raw_coefficients(alphas, offdiag):
+    """The raw-x coefficients of p_0 .. p_d, row j those of p_j (zero past
+    x^j), by the recurrence on coefficient rows, read-only; a ValueError
+    names the first degree whose coefficients overflow."""
     d1 = len(alphas)
     coef = np.zeros((d1, d1))
     coef[0, 0] = 1.0
@@ -83,7 +92,13 @@ def _raw_polys(alphas, offdiag):
     if bad.size:
         raise ValueError(f"the degree-{bad[0]} polynomial has a coefficient that is not "
                          "finite in raw-x form")
-    return [UniPoly(coef[j, : j + 1]) for j in range(d1)]
+    coef.setflags(write=False)
+    return coef
+
+
+def _raw_polys(coef):
+    """p_0 .. p_d as raw-x UniPolys, from their coefficient matrix."""
+    return [UniPoly(row[:j + 1]) for j, row in enumerate(coef)]
 
 
 def _degree(value, name="degree"):
@@ -106,6 +121,8 @@ def gram_schmidt(density, max_degree, n_nodes=None):
     the identity by more than 1e-6, as on a rule too coarse for the degree
     (n_nodes <= max_degree).  pce.expand passes its projection rule's size;
     the default, twice the default node count, serves direct callers only.
+    The basis keeps the Gram check's value matrix as rule_values, so the
+    projection on the same rule does not evaluate it again.
     """
     max_degree = _degree(max_degree, "max_degree")
     if max_degree < 0:
@@ -117,6 +134,8 @@ def gram_schmidt(density, max_degree, n_nodes=None):
     vals = basis.eval_matrix(rule.nodes)
     gram = (vals * rule.weights[:, None]).T @ vals
     basis.gram_residual = float(np.max(np.abs(gram - np.eye(max_degree + 1))))
+    vals.setflags(write=False)
+    basis.rule_values = vals
     if basis.gram_residual > RESIDUAL_LIMIT:
         raise GramSchmidtError(
             f"orthogonality lost (residual {basis.gram_residual:.2e} > {RESIDUAL_LIMIT:g}); "

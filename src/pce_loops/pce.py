@@ -42,6 +42,8 @@ MAX_ROWS = 10**6
 # each one would otherwise seed ghost monomials in every loop closure that
 # substitutes the estimator.  This is the one place coefficients are pruned.
 CLEANUP_REL = 1e-14
+# Products one block of estimator assembly holds, rows times terms.
+_ASSEMBLY_ELEMENTS = 2**16
 
 
 class DegreeMatrix:
@@ -127,9 +129,11 @@ class PceExpansion:
 def _bases(germs, degrees, n_nodes):
     """One orthonormal basis per germ, of the matching degree, each checked
     on the germ's n_nodes projection rule (the one expand projects on), so
-    no rule is built for the check alone.  That rule integrates the Gram matrix
-    exactly when n_nodes exceeds the degree; when it does not, p_n_nodes
-    vanishes on every node and the check raises GramSchmidtError."""
+    no rule is built for the check alone, and the projection reads each
+    basis's values there from the check (rule_values).  That rule integrates
+    the Gram matrix exactly when n_nodes exceeds the degree; when it does
+    not, p_n_nodes vanishes on every node and the check raises
+    GramSchmidtError."""
     return [gram_schmidt(d, deg, n_nodes) for d, deg in zip(germs, degrees)]
 
 
@@ -231,7 +235,7 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
         raise ValueError(f"{D.k} degrees for {len(germs)} germs")
     bases = _bases(germs, D.degrees, n_nodes)
     rules = [build_rule(d, n_nodes) for d in germs]
-    mats = [b.eval_matrix(r.nodes) for b, r in zip(bases, rules)]
+    mats = [b.rule_values for b in bases]
     by_last, by_first = _evaluations(g, rules)
     (coeff_tensor,) = _project(by_last, rules, [mats])
     _, square_error = _square_errors(by_first, rules, [None, (coeff_tensor, mats)])
@@ -240,20 +244,40 @@ def expand(g, germs, degrees, n_nodes=DEFAULT_NODES):
 
 def _assemble_estimator(bases, D, coeffs):
     """Sum of coefficient * product of univariate basis polynomials (raw x),
-    without the terms below CLEANUP_REL times the largest |coefficient|."""
-    k = D.k
-    uni = [[p.to_multi(k, i) for p in bases[i].polys] for i in range(k)]
-    total = MultiPoly(k)
-    for j, row in enumerate(D):
-        if coeffs[j] == 0.0:
-            continue
-        term = MultiPoly.constant(k, coeffs[j])
-        for i, deg in enumerate(row):
-            if deg:
-                term = term * uni[i][deg]
-        total = total + term
-    cap = CLEANUP_REL * max(map(abs, total.terms.values()), default=0.0)
-    return MultiPoly._trusted(k, {e: c for e, c in total.terms.items() if abs(c) >= cap})
+    without the terms below CLEANUP_REL times the largest |coefficient|.
+
+    Degree row j's product is the outer product of c_j and the rows of its
+    basis polynomials in the raw-x coefficient matrices, formed left to
+    right, and a running sum adds the rows' products in degree-matrix order,
+    a block of rows at a time.  So every coefficient rounds as adding the
+    MultiPoly products c_j * p_j1 * ... * p_jk one row after another does,
+    and the terms come in that dict's order: by the last row that turned
+    each one's sum from zero to nonzero, each row's in row-major order."""
+    shape = tuple(d + 1 for d in D.degrees)
+    size = math.prod(shape)
+    raws = [b.raw[:n, :n] for b, n in zip(bases, shape)]
+    degrees = np.unravel_index(np.arange(size), shape)
+    block = max(1, _ASSEMBLY_ELEMENTS // size)
+    total = np.zeros(size)
+    entered = np.zeros(size, dtype=np.intp)   # the row each term last turned nonzero
+    for lo in range(0, size, block):
+        rows = slice(lo, lo + block)
+        products = coeffs[rows, None] * raws[0][degrees[0][rows]]
+        for raw, deg in zip(raws[1:], degrees[1:]):
+            products = (products[:, :, None] * raw[deg[rows]][:, None, :]).reshape(
+                len(products), -1)
+        sums = np.cumsum(np.vstack([total, products]), axis=0)
+        nonzero = sums != 0.0
+        turned = nonzero[1:] & ~nonzero[:-1]
+        hit = turned.any(axis=0)
+        entered[hit] = lo + len(turned) - 1 - np.argmax(turned[::-1], axis=0)[hit]
+        total = sums[-1]
+    held = np.flatnonzero(total)
+    held = held[np.argsort(entered[held], kind="stable")]
+    cap = CLEANUP_REL * float(np.abs(total[held]).max(initial=0.0))
+    held = held[np.abs(total[held]) >= cap]
+    exps = np.column_stack(np.unravel_index(held, shape)).tolist()
+    return MultiPoly._trusted(D.k, dict(zip(map(tuple, exps), total[held].tolist())))
 
 
 def error_se(expansion, g, n_nodes=DEFAULT_NODES):

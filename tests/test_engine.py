@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -328,6 +329,23 @@ def test_counts_that_are_not_integers_are_refused(count):
         simulate(prog, 3, samples=count)
     assert propagate(prog, ["x"], np.int64(2)).iterations == 2
     assert simulate(prog, np.int64(2), samples=np.int64(10)).iterations == 2
+
+
+@pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
+@pytest.mark.parametrize("name", ["chunk_size", "threads"])
+def test_simulate_worker_counts_that_are_not_integers_are_refused(name, count):
+    """A float chunk size once died inside numpy, and threads=2.0 or True
+    ran as 2 or 1 threads."""
+    refused = re.escape(f"{name} must be an integer, not {count!r}")
+    with pytest.raises(ValueError, match=refused):
+        simulate(parse(WALK), 3, samples=10, **{name: count})
+
+
+def test_simulate_takes_numpy_integer_worker_counts():
+    a = simulate(parse(WALK), 3, samples=100, seed=4, chunk_size=np.int64(30),
+                 threads=np.int64(2))
+    b = simulate(parse(WALK), 3, samples=100, seed=4, chunk_size=30, threads=2)
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -1165,9 +1183,11 @@ def test_closure_hit_builds_no_powers(powers_built):
         assert len(powers_built) == 4
     germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
     first = propagate(lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8), ["x"], 8)
-    assert len(powers_built) == 4 + 8 * 2   # s's and x's per body
+    # the schedule closes once: s's update is the same in every body and
+    # shares one _Powers, x's holds each body's expansion
+    assert len(powers_built) == 4 + 1 + 8
     again = propagate(lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=8), ["x"], 8)
-    assert len(powers_built) == 4 + 8 * 2
+    assert len(powers_built) == 4 + 1 + 8
     assert again.values.tobytes() == first.values.tobytes()
 
 
@@ -1275,13 +1295,95 @@ def test_closure_memo_hits_equal_fresh_closures_on_a_lagrange_schedule(closures_
     germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
     prog = parse(DRIFT)
     first = propagate(lagrange_schedule(prog, 0, 8, germs, degree=8), ["x"], 8)
-    assert len(closures_built) == 8
+    assert len(closures_built) == 1   # one joint closure of the eight bodies
     again = propagate(lagrange_schedule(prog, 0, 8, germs, degree=8), ["x"], 8)
-    assert len(closures_built) == 8
+    assert len(closures_built) == 1
     assert again.values.tobytes() == first.values.tobytes()
     order = first.monomials
     for body in lagrange_schedule(prog, 0, 8, germs, degree=8).schedule:
         assert _closed_bytes(body, order) == _fresh_closed_bytes(body, order)
+
+
+# -- joint closure of a schedule ------------------------------------------------
+#
+# A schedule's bodies close once, as one frontier whose rows are (body,
+# monomial) pairs.  No row's terms depend on the other rows of its sweep, so
+# each body's map is bitwise the one closing that body alone gives.
+
+COS_DRIFT = "s = 0\nx = 0\nwhile true {\n w = Normal(0, 0.5)\n s := s + w\n x := x + cos(s)\n}"
+
+
+def _assert_joint_maps_equal_lone_closures(bodies, target):
+    order, maps = engine._close(bodies, [target])
+    assert len(maps) == len(bodies)
+    for body, joint in zip(bodies, maps):
+        engine._closures.clear()
+        alone, lone = engine._close(body, order)
+        assert alone == order
+        for a, b in zip(joint, lone):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+@pytest.mark.parametrize("target", ["x", "x^2", "x*s"])
+def test_joint_closure_maps_equal_closing_each_body_alone(no_closures, degree, target):
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 9)]
+    pp = lagrange_schedule(parse(DRIFT), 0, 8, germs, degree=degree)
+    _assert_joint_maps_equal_lone_closures(pp.schedule, target)
+
+
+@pytest.mark.parametrize("target", ["x", "x^2", "x*s"])
+def test_joint_closure_of_bodies_with_different_term_sets(no_closures, target):
+    """cos(s) under a centred germ is even, so only the second body's update
+    has odd powers of s: its powers are stacked, one per body, and the first
+    body's rows still take only its own."""
+    germs = [Density.normal(0.0, 0.5), Density.normal(0.3, 0.5)]
+    pp = lagrange_schedule(parse(COS_DRIFT), 0, 2, germs, degree=6)
+    x = pp.state_vars.index("x")
+    odd = [{e[0] % 2 for e in body.body[-1][2].terms if e[x] == 0} for body in pp.schedule]
+    assert odd == [{0}, {0, 1}]
+    _assert_joint_maps_equal_lone_closures(pp.schedule, target)
+
+
+def _two_layout_schedule():
+    """w feeds only x's update in the first program, so it is folded; in the
+    second it feeds both, so it takes its own step.  The schedule alternates
+    the two, so its bodies fall into two layout groups."""
+    head = "x = 1\ny = 0.5\nwhile true {\n w = Normal(0.25, 1)\n x := 0.5*x + w\n"
+    folded = polynomialize(parse(head + " y := 0.5*y + 1\n}"))
+    shared = polynomialize(parse(head + " y := y*w + x\n}"))
+    assert len(engine._groups((engine._steps(folded), engine._steps(shared)))) == 2
+    # a program of its own holds the schedule: a scheduled program takes no
+    # steps, so it cannot be one of its own bodies
+    pp = polynomialize(parse(head + " y := 0.5*y + 1\n}"))
+    pp.schedule = (folded, shared, folded, shared, shared)
+    return pp
+
+
+def test_a_schedule_with_two_step_layouts_closes_once(closures_built):
+    """Each block of monomials is swept through both groups, so the one
+    closure holds both groups' monomials."""
+    pp = _two_layout_schedule()
+    _assert_propagate_matches_multipoly_rows(pp, ["x*y"], 5)
+    engine._closures.clear()
+    del closures_built[:]
+    table = propagate(pp, ["x*y"], 5)
+    assert len(closures_built) == 1
+    folded_alone, _ = close_monomials(pp.schedule[0], ["x*y"])
+    assert (2, 0) in table.monomials and (2, 0) not in folded_alone
+    _assert_joint_maps_equal_lone_closures(pp.schedule, "x*y")
+    with pytest.raises(ValueError, match="share their variables"):
+        engine._close((pp.schedule[0], polynomialize(parse(WALK))), ["x"])
+
+
+def test_a_cold_schedule_propagate_closes_once(closures_built):
+    germs = [Density.normal(0.0, 0.5 * math.sqrt(n)) for n in range(1, 25)]
+    pp = lagrange_schedule(parse(DRIFT), 0, 24, germs, degree=8)
+    table = propagate(pp, ["x^2"], 24)
+    assert len(closures_built) == 1
+    assert closures_built[0] == sorted({(0, 0), (0, 1), (0, 2)})
+    _assert_propagate_matches_multipoly_rows(pp, ["x^2"], 24)
+    assert table.values.tobytes() == propagate(pp, ["x^2"], 24).values.tobytes()
 
 
 def test_close_monomials_memo_hits_equal_fresh_closures(no_closures):
@@ -1295,6 +1397,48 @@ def test_close_monomials_memo_hits_equal_fresh_closures(no_closures):
     assert rows(close_monomials(pp, ["x^2*y^2"])) == first
     engine._closures.clear()
     assert rows(close_monomials(pp, ["x^2*y^2"])) == first
+
+
+class _CountedKey:
+    """A memo key that counts the times it is hashed."""
+
+    def __init__(self, name):
+        self.name, self.hashed = name, 0
+
+    def __hash__(self):
+        self.hashed += 1
+        return hash(self.name)
+
+    def __eq__(self, other):
+        return self.name == other.name
+
+
+def test_a_memo_miss_hashes_no_stored_key():
+    memo, lock = OrderedDict(), threading.Lock()
+    held = [_CountedKey(i) for i in range(5)]
+    for key in held:
+        engine._memoized(memo, lock, key, lambda: 1, 10)
+    before = [key.hashed for key in held]
+    engine._memoized(memo, lock, _CountedKey(5), lambda: 1, 10)
+    assert [key.hashed for key in held] == before
+
+
+def test_a_memo_total_holds_after_clear_and_on_a_fresh_memo():
+    """Weights of 2 under a bound of 5 hold two entries; a total left over
+    from before the clear, or from another memo, would evict the one just
+    stored."""
+    memo, lock = OrderedDict(), threading.Lock()
+
+    def fill(memo, keys):
+        for key in keys:
+            engine._memoized(memo, lock, key, lambda: 2, 5, weigh=lambda value: value)
+        return list(memo)
+
+    assert fill(memo, "abc") == ["b", "c"]
+    memo.clear()
+    assert fill(memo, "de") == ["d", "e"]
+    assert fill(OrderedDict(), "fg") == ["f", "g"]
+    assert fill(memo, "h") == ["e", "h"]
 
 
 def test_close_monomials_takes_monomial_strings():

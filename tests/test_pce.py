@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pce_loops import quad
+from pce_loops import pce, quad
 from pce_loops.bench import TABLE2_ROWS
 from pce_loops.dist import Density, RandomVector
-from pce_loops.orthopoly import GramSchmidtError
+from pce_loops.orthopoly import GramSchmidtError, OrthonormalBasis, _basis
 from pce_loops.pce import (
     DegreeMatrix,
     LagrangeConditional,
@@ -264,6 +264,88 @@ def test_lazy_estimator_equals_an_eager_build():
         assert lazy is e.estimator
         assert [(m, c.hex()) for m, c in lazy.terms.items()] == \
             [(m, c.hex()) for m, c in eager.terms.items()]
+
+
+def _multipoly_assembly(bases, D, coeffs):
+    """The estimator as MultiPoly arithmetic builds it, row by row: the
+    oracle of the array assembly."""
+    k = D.k
+    uni = [[p.to_multi(k, i) for p in bases[i].polys] for i in range(k)]
+    total = MultiPoly(k)
+    for j, row in enumerate(D):
+        if coeffs[j] == 0.0:
+            continue
+        term = MultiPoly.constant(k, coeffs[j])
+        for i, deg in enumerate(row):
+            if deg:
+                term = term * uni[i][deg]
+        total = total + term
+    cap = 1e-14 * max(map(abs, total.terms.values()), default=0.0)
+    return MultiPoly._trusted(k, {e: c for e, c in total.terms.items() if abs(c) >= cap})
+
+
+def _assert_assembly_matches_multipoly(bases, D, coeffs):
+    got, want = _assemble_estimator(bases, D, coeffs), _multipoly_assembly(bases, D, coeffs)
+    assert [(m, c.hex()) for m, c in got.terms.items()] == \
+        [(m, c.hex()) for m, c in want.terms.items()]
+    assert all(type(e) is int for m in got.terms for e in m)
+
+
+def test_array_assembly_matches_multipoly_products():
+    row4 = TABLE2_ROWS[3]
+    cases = [(lambda x, y: np.log(x + y), GOLD_GERMS, (2, 2)),
+             (np.cos, Density.normal(0.0, 1.0), (9,)),
+             (np.exp, Density.normal(0.0, 1.2), (8,)),
+             (row4.fn, RandomVector([Density.of(*g) for g in row4.germs]), (3, 3, 3))]
+    for g, germs, degrees in cases:
+        e = expand(g, germs, degrees)
+        _assert_assembly_matches_multipoly(e.bases, e.D, e.coeffs)
+    assert len(_assemble_estimator(e.bases, e.D, e.coeffs).terms) == 46
+
+
+def test_array_assembly_matches_multipoly_products_through_cancellation():
+    """With c_00 = -c_20 * p2(0), the x^0 y^0 sum is exactly zero after row
+    (2, 0); MultiPoly drops the term there and row (2, 1) puts it back,
+    after the x^2 term that row (2, 0) brought in.  Random coefficients, some zero, on a third and
+    fourth basis cover rows that are skipped."""
+    bases = [_basis(Density.uniform(-1.0, 1.0), 2), _basis(Density.uniform(1.0, 3.0), 1)]
+    D = DegreeMatrix((2, 1))
+    coeffs = np.array([0.0, 0.0, 0.5, -0.25, 1.0, 1.0])
+    coeffs[0] = -coeffs[4] * bases[0].raw[2, 0]
+    got = _assemble_estimator(bases, D, coeffs)
+    order = list(got.terms)
+    assert order.index((0, 0)) > order.index((2, 0))
+    _assert_assembly_matches_multipoly(bases, D, coeffs)
+    rng = np.random.default_rng(3)
+    bases += [_basis(Density.normal(0.5, 2.0), 4), _basis(Density.trunc_gamma(1.0, 3.0, 0.5, 1.0), 3)]
+    for degrees in [(2, 1), (2, 1, 4), (1, 0, 4, 3)]:
+        D = DegreeMatrix(degrees)
+        coeffs = rng.standard_normal(D.L) * (rng.random(D.L) < 0.8)
+        _assert_assembly_matches_multipoly(bases[:D.k], D, coeffs)
+
+
+def test_array_assembly_holds_one_block_of_products_at_a_time(monkeypatch):
+    for elements in (1, 7, 2**16):
+        monkeypatch.setattr(pce, "_ASSEMBLY_ELEMENTS", elements)
+        e = expand(TABLE2_ROWS[3].fn, RandomVector([Density.of(*g) for g in TABLE2_ROWS[3].germs]),
+                   (2, 3, 1))
+        _assert_assembly_matches_multipoly(e.bases, e.D, e.coeffs)
+
+
+def test_expand_projects_on_the_gram_check_values(monkeypatch):
+    """Each basis is evaluated on the projection rule once, by its Gram
+    check, and the coefficients are those of evaluating it again."""
+    calls = []
+    real = OrthonormalBasis.eval_matrix
+    monkeypatch.setattr(OrthonormalBasis, "eval_matrix",
+                        lambda self, x: calls.append(len(x)) or real(self, x))
+    germs = RandomVector([Density.normal(0.0, 1.0), Density.uniform(1.0, 2.0)])
+    e = expand(lambda x, y: np.cos(x) * y, germs, (4, 3), n_nodes=20)
+    assert calls == [20, 20]
+    rules = [build_rule(d, 20) for d in germs]
+    mats = [real(b, r.nodes) for b, r in zip(e.bases, rules)]
+    assert all(b.rule_values.tobytes() == m.tobytes() for b, m in zip(e.bases, mats))
+    assert not any(b.rule_values.flags.writeable for b in e.bases)
 
 
 def test_expand_reports_where_the_function_is_not_finite():
