@@ -82,9 +82,6 @@ _expansions_lock = threading.Lock()
 _MEMO_STEP_NONZEROS = 250_000
 _closures = OrderedDict()
 _closures_lock = threading.Lock()
-# id(memo) -> (memo, its entry count, their total weight), as _memoized
-# last left them
-_held = {}
 
 # Reference germ used for accumulating-argument call sites when the caller
 # does not configure one.
@@ -354,11 +351,8 @@ def _memoized(memo, lock, key, build, bound, weigh=lambda value: 1):
     bound, the least recently used out first, and a heavier value is not
     stored.
 
-    The total weight is kept as entries come and go (_held), not summed
-    over the memo on every miss: iterating an OrderedDict's values hashes
-    each key again.  It is summed afresh, without hashing, when the memo is
-    another object or holds another number of entries than last time, as
-    after a clear()."""
+    The total is summed over dict.values(memo) on a miss: iterating an
+    OrderedDict's own values would hash every key again."""
     with lock:
         if key in memo:
             memo.move_to_end(key)
@@ -366,16 +360,10 @@ def _memoized(memo, lock, key, build, bound, weigh=lambda value: 1):
         value = build()
         weight = weigh(value)
         if weight <= bound:
-            held = _held.get(id(memo))
-            if held is None or held[0] is not memo or held[1] != len(memo):
-                total = sum(map(weigh, dict.values(memo)))
-            else:
-                total = held[2]
+            total = sum(map(weigh, dict.values(memo))) + weight
             memo[key] = value
-            total += weight
             while total > bound:
                 total -= weigh(memo.popitem(last=False)[1])
-            _held[id(memo)] = (memo, len(memo), total)
         return value
 
 
@@ -705,9 +693,8 @@ def _close(bodies, targets):
     and each body's step map as COO triplets (rows, cols, data) over that
     order, read-only.
 
-    bodies are programs over the same variables, such as the programs of a
-    schedule; a single program stands for the one-program tuple and gets
-    its one map back unwrapped.  They close once, as one joint frontier
+    bodies is a tuple of programs over the same variables: the programs of
+    a schedule, or one program alone.  They close once, as one joint frontier
     (_closure), and each map is bitwise the one that closing its program
     alone over the returned order gives.  targets are monomial strings or
     exponent tuples over the state variables.  The result depends only on
@@ -718,8 +705,7 @@ def _close(bodies, targets):
     stored arrays and a fresh list of the order.  A closure that raises
     stores nothing, and the memo holds at most _MEMO_STEP_NONZEROS step
     nonzeros, least recently used out first."""
-    alone = isinstance(bodies, PolynomializedProgram)
-    bodies = (bodies,) if alone else tuple(bodies)
+    bodies = tuple(bodies)
     pp = bodies[0]
     if any((b.state_vars, b.draw_vars) != (pp.state_vars, pp.draw_vars) for b in bodies):
         raise ValueError("the programs of one closure must share their variables")
@@ -739,7 +725,7 @@ def _close(bodies, targets):
                             lambda: _closure(bodies, seeds, _groups(steps)),
                             _MEMO_STEP_NONZEROS,
                             weigh=lambda closure: sum(len(m[2]) for m in closure[1]))
-    return list(order), maps[0] if alone else maps
+    return list(order), maps
 
 
 def _closure(bodies, monomials, groups):
@@ -751,19 +737,21 @@ def _closure(bodies, monomials, groups):
     monomials goes through each group in one sweep, one row per (body,
     monomial) pair, so a sweep holds at most max(_SWEEP_ROWS, len(bodies))
     rows.  A group's sweeps share one map of update powers, each built when
-    a sweep first needs it.  A term's row is the number of its row's
-    monomial and its column the number of its state exponents, looked up
-    once per distinct exponent column.  Draw exponents are zero after a
-    sweep and are dropped with the table.  A stable sort by body and row
-    keeps each row's terms in sweep order, so np.bincount adds them in the
-    order MultiPoly arithmetic with the same folded powers would."""
+    a sweep first needs it.  A term's slot is its row's body times stride
+    plus the number of its row's monomial, so a closure keeps one index
+    array per sweep, and its column the number of its state exponents,
+    looked up once per distinct exponent column.  Draw exponents are zero
+    after a sweep and are dropped with the table.  A stable sort by body and
+    row keeps each row's terms in sweep order, so np.bincount adds them in
+    the order MultiPoly arithmetic with the same folded powers would."""
     k = len(bodies[0].state_vars)
     block = max(1, _SWEEP_ROWS // len(bodies))
     groups = [(np.array(members), [bodies[b] for b in members], steps, {})
               for members, steps in groups]
     monomials = list(monomials)
     number = {m: i for i, m in enumerate(monomials)}
-    owners, rows, cols, data = [], [], [], []
+    stride = CLOSURE_LIMIT + 1   # above every monomial number
+    slots, cols, data = [], [], []
     swept = 0
     while swept < len(monomials):
         frontier = monomials[swept:swept + block]
@@ -786,21 +774,25 @@ def _closure(bodies, monomials, groups):
                             "the loop is not moment-computable in this form"
                         )
                 met.append(number[m])
-            member, row = np.divmod(table[-1], len(frontier))
-            owners.append(members[member])
-            rows.append(row + swept)
+            # the sweep's row b * len(frontier) + j is monomial swept + j
+            # under members[b]
+            shift = members * stride - np.arange(len(members)) * len(frontier) + swept
+            slots.append(table[-1] + shift[table[-1] // len(frontier)])
             cols.append(np.array(met, dtype=np.intp)[column])
             data.append(coefs)
         swept += len(frontier)
     by_number = sorted(range(len(monomials)), key=monomials.__getitem__)
     rank = np.empty(len(monomials), dtype=np.intp)
     rank[by_number] = np.arange(len(monomials))
-    owners, rows = np.concatenate(owners), rank[np.concatenate(rows)]
-    by_row = np.argsort(owners * len(monomials) + rows, kind="stable")
-    arrays = (rows[by_row], rank[np.concatenate(cols)][by_row], np.concatenate(data)[by_row])
+    slots = np.concatenate(slots)
+    slots += rank[slots % stride] - slots % stride   # each row's place in order
+    by_row = np.argsort(slots, kind="stable")
+    slots = slots[by_row]
+    ends = np.searchsorted(slots, np.arange(len(bodies) + 1) * stride).tolist()
+    rows = np.remainder(slots, stride, out=slots)
+    arrays = (rows, rank[np.concatenate(cols)][by_row], np.concatenate(data)[by_row])
     for a in arrays:
         a.setflags(write=False)
-    ends = np.searchsorted(owners[by_row], np.arange(len(bodies) + 1)).tolist()
     return (tuple(monomials[i] for i in by_number),
             tuple(tuple(a[lo:hi] for a in arrays) for lo, hi in zip(ends, ends[1:])))
 
@@ -811,7 +803,7 @@ def close_monomials(pp, targets):
     closed under one-step expectation, and each member's one-step
     expectation as a MultiPoly over all variables (draw exponents zero), its
     terms in the order they were made."""
-    order, (rows, cols, data) = _close(pp, targets)
+    order, ((rows, cols, data),) = _close((pp,), targets)
     pad = (0,) * len(pp.draw_vars)
     full = [m + pad for m in order]
     terms = list(zip(map(full.__getitem__, cols.tolist()), data.tolist()))
@@ -843,7 +835,10 @@ def propagate(pp, targets, iterations):
     variables.  A scheduled program applies its n-th program's step map at
     iteration n, over a monomial set closed under every one of them, and
     refuses to go past its last iteration.  Its programs close once, as one
-    joint frontier (_close).
+    joint frontier (_close), and it tracks the same closure a plain program
+    would: the targets, the unit, the targets' first powers and what some
+    program's one step reaches.  A caller who wants another first power,
+    say s on a schedule whose steps never reach it, lists it as a target.
     """
     iterations = _degree(iterations, "iterations")
     if iterations < 0:

@@ -1206,7 +1206,7 @@ def test_closure_miss_shares_its_powers_across_sweeps(powers_built, monkeypatch)
     and all six sweeps use them."""
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
     swept = _recorded_sweeps(monkeypatch)
-    order, _ = engine._close(pp, ["x^2*y^2"])
+    order, _ = engine._close((pp,), ["x^2*y^2"])
     assert len(order) == 314
     assert [n for n, _, _ in swept] == [4, 64, 64, 64, 64, 54]
     _, steps, powers = swept[0]
@@ -1223,7 +1223,7 @@ def test_closure_miss_builds_powers_only_for_updates_it_meets(powers_built, monk
     their powers are never built; each one built holds at least P^1."""
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=9)
     swept = _recorded_sweeps(monkeypatch)
-    engine._close(pp, [target])
+    engine._close((pp,), [target])
     _, steps, powers = swept[0]
     assert {pp.all_vars[steps[pos][1]] for pos in powers} == updates
     assert list(powers.values()) == powers_built
@@ -1270,7 +1270,7 @@ def closures_built(monkeypatch, no_closures):
 
 
 def _closed_bytes(pp, targets):
-    order, (rows, cols, data) = engine._close(pp, targets)
+    order, ((rows, cols, data),) = engine._close((pp,), targets)
     return order, rows.tobytes(), cols.tobytes(), data.tobytes()
 
 
@@ -1318,7 +1318,7 @@ def _assert_joint_maps_equal_lone_closures(bodies, target):
     assert len(maps) == len(bodies)
     for body, joint in zip(bodies, maps):
         engine._closures.clear()
-        alone, lone = engine._close(body, order)
+        alone, (lone,) = engine._close((body,), order)
         assert alone == order
         for a, b in zip(joint, lone):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1343,6 +1343,24 @@ def test_joint_closure_of_bodies_with_different_term_sets(no_closures, target):
     odd = [{e[0] % 2 for e in body.body[-1][2].terms if e[x] == 0} for body in pp.schedule]
     assert odd == [{0}, {0, 1}]
     _assert_joint_maps_equal_lone_closures(pp.schedule, target)
+
+
+def test_a_centred_cos_schedule_tracks_a_plain_programs_closure(no_closures):
+    """Every germ is centred, so no body's step reaches s: the schedule
+    tracks what closing any one of its bodies tracks, and s only when it is
+    asked for."""
+    germs = [Density.normal(0.0, 0.5 * n ** 0.5) for n in range(1, 4)]
+    pp = lagrange_schedule(parse(COS_DRIFT), 0, 3, germs, degree=6)
+    table = propagate(pp, ["x"], 3)
+    names = [format_monomial(m, pp.state_vars) for m in table.monomials]
+    assert names == ["1", "x", "s^2", "s^4", "s^6"]
+    for body in pp.schedule:
+        assert close_monomials(body, ["x"])[0] == set(table.monomials)
+    with pytest.raises(KeyError, match="not tracked"):
+        table.value(3, "s")
+    asked = propagate(pp, ["x", "s"], 3)
+    assert asked.value(3, "s") == 0.0
+    assert asked.values[:, asked.column("x")].tobytes() == table.values[:, 1].tobytes()
 
 
 def _two_layout_schedule():
@@ -1453,7 +1471,7 @@ def test_a_closure_that_raises_raises_again(closures_built):
     blowup = polynomialize(parse("x = 2\nwhile true {\n x := x^2\n}"))
     for _ in range(2):
         with pytest.raises(ValueError, match="not moment-computable"):
-            engine._close(blowup, [(1,)])
+            engine._close((blowup,), [(1,)])
     assert len(closures_built) == 2
     assert not engine._closures
 
@@ -1486,14 +1504,14 @@ def test_closure_memo_tells_integer_from_float_folded_parameters(no_closures):
 
 def test_closure_memo_returns_what_callers_cannot_change(no_closures):
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=5)
-    order, arrays = engine._close(pp, ["x^2"])
+    order, (arrays,) = engine._close((pp,), ["x^2"])
     want = list(order)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
     order.clear()
-    again, hit = engine._close(pp, ["x^2"])
+    again, (hit,) = engine._close((pp,), ["x^2"])
     assert again == want
     assert all(a is b for a, b in zip(hit, arrays))
     assert not any(a.flags.writeable for a in hit)
@@ -1516,7 +1534,7 @@ def test_concurrent_close_matches_a_serial_run(no_closures):
 
 def test_closure_memo_is_bounded_by_step_nonzeros(closures_built, monkeypatch):
     pp = polynomialize(parse_file(program_path("turning.ppl")), degree=5)
-    nonzeros = {t: len(engine._close(pp, [t])[1][2]) for t in ("x", "y", "x^2", "psi")}
+    nonzeros = {t: len(engine._close((pp,), [t])[1][0][2]) for t in ("x", "y", "x^2", "psi")}
     assert nonzeros["psi"] <= nonzeros["y"]
     monkeypatch.setattr(engine, "_MEMO_STEP_NONZEROS", nonzeros["x"] + nonzeros["y"]
                         + nonzeros["x^2"])
@@ -1527,7 +1545,7 @@ def test_closure_memo_is_bounded_by_step_nonzeros(closures_built, monkeypatch):
         return [key[-1] for key in engine._closures]
 
     def close(target):
-        engine._close(pp, [target])
+        engine._close((pp,), [target])
         return held()[-1]
 
     x, y, x2 = close("x"), close("y"), close("x^2")
@@ -1539,5 +1557,5 @@ def test_closure_memo_is_bounded_by_step_nonzeros(closures_built, monkeypatch):
     assert held() == [x2, x, psi] and len(closures_built) == 4
     # a closure heavier than the bound is built on every call and not held
     for _ in range(2):
-        engine._close(pp, ["x^4"])
+        engine._close((pp,), ["x^4"])
     assert held() == [x2, x, psi] and len(closures_built) == 6
