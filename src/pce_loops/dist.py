@@ -4,7 +4,8 @@ Four families are supported: Normal, Uniform, TruncNormal and TruncGamma.
 Every density knows its pdf, its support, its raw moments and how to draw
 samples; the truncated families carry a normalization constant (the
 reciprocal mass of the untruncated pdf on the truncation interval) that is
-computed once by quadrature at construction time.
+computed by quadrature at construction time, once per density value in a
+process (_mass).
 
 Parameter conventions: ``sigma`` is always a standard deviation, gamma uses
 ``k`` (shape) and ``theta`` (scale).  An unbounded Normal is integrated over
@@ -47,6 +48,10 @@ _LOCATION_SCALE = {
     "Uniform": ((-1.0, 1.0), lambda a, b: (0.5 * (a + b), 0.5 * (b - a)),
                 lambda loc, scale: (loc - scale, loc + scale)),
 }
+
+
+# Truncated densities whose normalizing mass _mass keeps.
+_MASS_MEMO = 64
 
 
 def _normal_logpdf(x, mu, sigma):
@@ -94,7 +99,7 @@ class Density:
                       _key=(family,) + tuple((n, type(v), v) for n, v in sorted(p.items())),
                       _moment_cache={})
         if family in ("TruncNormal", "TruncGamma"):
-            mass = _panel_integral(self._base_pdf, *support)
+            mass = _mass(self)
             if not 0.0 < mass < math.inf:
                 raise ValueError(f"{self!r} has no mass in floats on {support}")
             fields["norm_const"] = 1.0 / mass
@@ -246,6 +251,16 @@ class Density:
 
     def to_dict(self):
         return {"family": self.family, **self.params}
+
+
+@functools.lru_cache(maxsize=_MASS_MEMO)
+def _mass(density):
+    """The untruncated pdf's mass on a truncated density's support, kept for
+    the _MASS_MEMO densities used last.  Densities compare by _key, so a
+    mass is integrated once per density value, and int and float parameters
+    (TruncNormal(4, 1, 3, 5), TruncNormal(4.0, 1.0, 3.0, 5.0)) keep theirs
+    apart."""
+    return _panel_integral(density._base_pdf, *density.support)
 
 
 def density_from_dict(spec):

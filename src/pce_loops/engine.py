@@ -344,6 +344,9 @@ def _expansion(fn, germ, degree, n_nodes):
                      _MEMO_EXPANSIONS)
 
 
+_MISSING = object()
+
+
 def _memoized(memo, lock, key, build, bound, weigh=lambda value: 1):
     """memo[key], from build() on a miss.  memo is an OrderedDict in least
     recently used order.  build runs under lock, so threads that race on a
@@ -351,12 +354,14 @@ def _memoized(memo, lock, key, build, bound, weigh=lambda value: 1):
     bound, the least recently used out first, and a heavier value is not
     stored.
 
-    The total is summed over dict.values(memo) on a miss: iterating an
-    OrderedDict's own values would hash every key again."""
+    A hit hashes key twice (get, move_to_end), and the total is summed
+    over dict.values(memo) on a miss: iterating an OrderedDict's own values
+    would hash every key again."""
     with lock:
-        if key in memo:
+        value = memo.get(key, _MISSING)
+        if value is not _MISSING:
             memo.move_to_end(key)
-            return memo[key]
+            return value
         value = build()
         weight = weigh(value)
         if weight <= bound:

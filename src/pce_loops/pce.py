@@ -11,6 +11,10 @@ tensor grid in slabs of at most quad._SLAB_POINTS points (quad._slabs), so
 memory does not grow with the grid: the projection takes slabs along the
 last germ axis and contracts the others per slab, the residual takes slabs
 along the first.  A grid of one slab is evaluated once for both passes.
+Every contraction is _contract's one transpose, reshape and np.dot, which
+is np.tensordot's arithmetic without its axis bookkeeping.  The checked
+bases live in their densities' quad memo entries (_bases), so a warm
+expansion checks no basis again.
 Also here: the normal-reference error bound and the paper's
 iteration-conditioned Lagrange estimator.
 """
@@ -133,8 +137,23 @@ def _bases(germs, degrees, n_nodes):
     basis's values there from the check (rule_values).  That rule integrates
     the Gram matrix exactly when n_nodes exceeds the degree; when it does
     not, p_n_nodes vanishes on every node and the check raises
-    GramSchmidtError."""
-    return [gram_schmidt(d, deg, n_nodes) for d, deg in zip(germs, degrees)]
+    GramSchmidtError.  A checked basis is kept in its density's quad._memo
+    entry, so it is bounded, locked and cleared with the density's rows and
+    rules, and a warm call checks none again; a check that fails keeps
+    nothing.  Callers share the kept bases and must not change them."""
+    return [_checked_basis(d, deg, n_nodes) for d, deg in zip(germs, degrees)]
+
+
+def _checked_basis(density, degree, n_nodes):
+    key = (degree, n_nodes)
+    with quad._memo_lock:
+        entry = quad._memo.get(density)
+        basis = None if entry is None else entry[3].get(key)
+    if basis is None:
+        basis = gram_schmidt(density, degree, n_nodes)
+        with quad._memo_lock:
+            quad._memo_entry(density, 0)[3][key] = basis
+    return basis
 
 
 _NOT_FINITE = "function is not finite at germ point {point}"
@@ -150,6 +169,16 @@ def _evaluations(g, rules):
         whole = list(quad._slabs(g, rules, 0, _NOT_FINITE))
         return whole, whole
     return quad._slabs(g, rules, -1, _NOT_FINITE), quad._slabs(g, rules, 0, _NOT_FINITE)
+
+
+def _contract(a, m):
+    """a's leading axis contracted with m's leading axis, m a matrix, shape
+    a.shape[1:] + m.shape[1:]: the transpose, reshape and np.dot that
+    np.tensordot(a, m, axes=([0], [0])) makes, so bitwise its result,
+    without its axis bookkeeping.  Pass m.T for axes=([0], [1])."""
+    rest = a.shape[1:]
+    flat = a.transpose(*range(1, a.ndim), 0).reshape(math.prod(rest), a.shape[0])
+    return np.dot(flat, m).reshape(rest + m.shape[1:])
 
 
 def _project(slabs, rules, mat_sets):
@@ -169,11 +198,11 @@ def _project(slabs, rules, mat_sets):
             partial = values
             for mat in mats[:-1]:
                 # move the leading node axis to the back as a degree axis
-                partial = np.tensordot(partial, mat, axes=([0], [0]))
+                partial = _contract(partial, mat)
             parts.append(partial)
     tensors = []
     for mats, parts in zip(weighted, partials):
-        coeff_tensor = np.tensordot(np.concatenate(parts), mats[-1], axes=([0], [0]))
+        coeff_tensor = _contract(np.concatenate(parts), mats[-1])
         if not np.isfinite(coeff_tensor).all():
             row = tuple(int(j) for j in np.argwhere(~np.isfinite(coeff_tensor))[0])
             raise ValueError(f"coefficient for degree row {row} is not finite")
@@ -194,20 +223,19 @@ def _square_errors(slabs, rules, fits):
     to end, over axis 0.
     """
     sums = [[] for _ in fits]
-    for lo, values in slabs:
-        for fit, parts in zip(fits, sums):
-            with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        for lo, values in slabs:
+            for fit, parts in zip(fits, sums):
                 if fit is None:
                     sq = values**2
                 else:
                     coeff_tensor, mats = fit
-                    approx = np.tensordot(coeff_tensor, mats[0][lo:lo + len(values)],
-                                          axes=([0], [1]))
+                    approx = _contract(coeff_tensor, mats[0][lo:lo + len(values)].T)
                     for mat in mats[1:]:
-                        approx = np.tensordot(approx, mat, axes=([0], [1]))
+                        approx = _contract(approx, mat.T)
                     # approx is a fresh array: reuse it for the residual and its square
                     sq = np.square(np.subtract(values, approx, out=approx), out=approx)
-            parts.append(quad._contract_trailing(sq, rules))
+                parts.append(quad._contract_trailing(sq, rules))
     integrals = [float(np.concatenate(parts) @ rules[0].weights) for parts in sums]
     for fit, integral in zip(fits, integrals):
         if fit is None and not math.isfinite(integral):

@@ -21,12 +21,16 @@ law of loc + scale*Z for Z its family's standard member
 alphas = loc + scale*alphas_Z, offdiag = scale*offdiag_Z, nodes = loc +
 scale*nodes_Z clipped to the support, and the weights are the standard
 rule's own array.  The map is also better conditioned than a run on an
-off-centre support.
+off-centre support.  A density's entry also keeps the bases pce has
+checked on its rules, so they are bounded, locked and cleared with it.
 integrate tensorizes univariate rules for multivariate expectations.  Every
 pass over a tensor grid, here and in pce, evaluates the integrand in slabs
 of at most _SLAB_POINTS points (_slabs): runs of consecutive nodes along the
 first or the last axis, with every node of the others, so memory does not
-grow with the grid.  Each slab is contracted over the same axes in the same
+grow with the grid.  A slab's open grid is the node slices reshaped (and
+copied, since the integrand may write to them), its values are broadcast
+only when the integrand returns another shape, and one isfinite pass checks
+them.  Each slab is contracted over the same axes in the same
 order as the whole grid was; BLAS may group the rows of a narrow slab
 differently, which can move a result in its last digits.
 """
@@ -52,7 +56,8 @@ _BACKBONE_PANELS = 80
 _SLAB_POINTS = 2**16
 
 # Densities in the memo, which maps a density to [alphas, offdiag,
-# {n_nodes: read-only (nodes, weights)}]; the least recently used goes first.
+# {n_nodes: read-only (nodes, weights)}, {(degree, n_nodes): checked basis}]
+# (the bases are pce._bases'); the least recently used goes first.
 _MEMO_DENSITIES = 32
 _memo = OrderedDict()
 _memo_lock = threading.Lock()
@@ -133,7 +138,7 @@ def _recurrence_coefficients(pts, mass, n):
 
 def _memo_entry(density, n_rows):
     """The density's memo entry, with at least n_rows rows; hold _memo_lock."""
-    entry = _memo.setdefault(density, [(), (), {}])
+    entry = _memo.setdefault(density, [(), (), {}, {}])
     _memo.move_to_end(density)
     if len(_memo) > _MEMO_DENSITIES:
         _memo.popitem(last=False)
@@ -145,7 +150,7 @@ def _memo_entry(density, n_rows):
             entry[:2] = _recurrence_coefficients(*_backbone(density), n_rows)
         else:
             standard, loc, scale = mapped
-            alphas, offdiag, _ = _memo_entry(standard, n_rows)
+            alphas, offdiag = _memo_entry(standard, n_rows)[:2]
             entry[:2] = loc + scale * alphas, scale * offdiag
     return entry
 
@@ -164,14 +169,14 @@ def _rows(density, n):
     """First n rows of the density's orthonormal recurrence, as (alphas,
     offdiag): p_{j+1} = ((x - alphas[j]) p_j - offdiag[j-1] p_{j-1}) / offdiag[j]."""
     with _memo_lock:
-        alphas, offdiag, _ = _memo_entry(density, n)
+        alphas, offdiag = _memo_entry(density, n)[:2]
     return alphas[:n], offdiag[: n - 1]
 
 
 def _rule(density, n_nodes):
     """The density's memoized n_nodes-point (nodes, weights), both read-only;
     hold _memo_lock.  A mapped density shares its standard's weights."""
-    alphas, offdiag, rules = _memo_entry(density, n_nodes)
+    alphas, offdiag, rules, _ = _memo_entry(density, n_nodes)
     if n_nodes not in rules:
         mapped = _mapped(density)
         if mapped is None:
@@ -211,19 +216,24 @@ def _slabs(f, rules, axis, message):
     silenced, since the error reports it.
     """
     nodes = [r.nodes for r in rules]
-    axis %= len(nodes)
+    k = len(nodes)
+    axis %= k
     rows = len(nodes[axis])
     width = max(1, _SLAB_POINTS * rows // math.prod(len(x) for x in nodes))
+    # node i's open-grid shape: -1 on axis i, 1 on the others
+    shapes = [(1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
     for lo in range(0, rows, width):
         part = list(nodes)
         part[axis] = nodes[axis][lo:lo + width]
-        grids = np.meshgrid(*part, indexing="ij", sparse=True)
+        shape = tuple(len(x) for x in part)
+        # fresh arrays, since f may write to its arguments
+        grids = [x.reshape(s).copy() for x, s in zip(part, shapes)]
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             values = np.asarray(f(*grids), dtype=float)
-        values = np.broadcast_to(values, tuple(len(x) for x in part))
-        bad = ~np.isfinite(values)
-        if bad.any():
-            index = [int(i) for i in np.argwhere(bad)[0]]
+        if values.shape != shape:
+            values = np.broadcast_to(values, shape)
+        if not np.isfinite(values).all():
+            index = [int(i) for i in np.argwhere(~np.isfinite(values))[0]]
             index[axis] += lo
             point = tuple(float(x[i]) for x, i in zip(nodes, index))
             raise ValueError(message.format(point=point, index=tuple(index)))

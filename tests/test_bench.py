@@ -32,14 +32,21 @@ def test_table2_errors_match_the_per_cell_path_bitwise():
 
 
 def test_table2_builds_one_basis_per_germ(monkeypatch):
-    # a lower degree's basis is the leading part of the row's top-degree one
-    degrees = []
+    # a lower degree's basis is the leading part of the row's top-degree one;
+    # on a cleared memo, since a warm table checks no basis again, and a
+    # (germ, degree) basis an earlier row checked is not checked again
+    built = []
     real = pce.gram_schmidt
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
     monkeypatch.setattr(pce, "gram_schmidt", lambda density, max_degree, *a:
-                        degrees.append(max_degree) or real(density, max_degree, *a))
+                        built.append((density, max_degree)) or real(density, max_degree, *a))
     run_table2()
-    assert degrees == [max(row.degrees) for row in TABLE2_ROWS for _ in row.germs]
-    assert len(degrees) == 10
+    wanted = [(Density.of(*s), max(row.degrees)) for row in TABLE2_ROWS for s in row.germs]
+    assert built == list(dict.fromkeys(wanted))
+    assert len(wanted) == 10 and len(built) == 8
+    del built[:]
+    run_table2()
+    assert built == []
 
 
 def test_table2_assembles_no_estimator(monkeypatch):

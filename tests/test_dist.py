@@ -327,3 +327,29 @@ def test_memoized_raw_moments_are_bitwise_fresh(monkeypatch):
     assert np.array_equal(np.array(again), np.array(first))
     assert np.array_equal(np.array(again), np.array(fresh))
     assert kept[0].raw_moment(3.0) == kept[0].raw_moment(3)
+
+
+def test_a_truncated_mass_is_integrated_once_per_density_value(monkeypatch):
+    """TruncNormal(4, 1, 3, 5) and its float twin are different densities,
+    so each keeps a mass of its own, and each is integrated once."""
+    dist._mass.cache_clear()
+    masses = []
+    real = dist._panel_integral
+    monkeypatch.setattr(dist, "_panel_integral",
+                        lambda *a: masses.append(real(*a)) or masses[-1])
+    ints = [Density.trunc_normal(4, 1, 3, 5) for _ in range(3)]
+    floats = [Density.trunc_normal(4.0, 1.0, 3.0, 5.0) for _ in range(3)]
+    gammas = [Density.trunc_gamma(1.0, 3.0, 0.5, 1.0) for _ in range(2)]
+    assert len(masses) == 3 and dist._mass.cache_info().currsize == 3
+    for group, mass in zip((ints, floats, gammas), masses):
+        assert {d.norm_const for d in group} == {1.0 / mass}
+        fresh = real(group[0]._base_pdf, *group[0].support)
+        assert fresh == mass
+    assert ints[0] != floats[0]
+
+
+def test_the_mass_memo_is_bounded():
+    dist._mass.cache_clear()
+    for k in range(dist._MASS_MEMO + 3):
+        Density.trunc_normal(0.0, 1.0, -1.0, 1.0 + k)
+    assert dist._mass.cache_info().currsize == dist._MASS_MEMO

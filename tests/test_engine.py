@@ -1441,6 +1441,19 @@ def test_a_memo_miss_hashes_no_stored_key():
     assert [key.hashed for key in held] == before
 
 
+def test_a_memo_hit_hashes_its_key_twice_and_no_other():
+    memo, lock = OrderedDict(), threading.Lock()
+    held = [_CountedKey(i) for i in range(5)]
+    for key in held:
+        engine._memoized(memo, lock, key, lambda: key.name, 10)
+    before = [key.hashed for key in held]
+    probe = _CountedKey(2)
+    assert engine._memoized(memo, lock, probe, lambda: None, 10) == 2
+    assert probe.hashed == 2
+    assert [key.hashed for key in held] == before
+    assert list(memo)[-1] is held[2]
+
+
 def test_a_memo_total_holds_after_clear_and_on_a_fresh_memo():
     """Weights of 2 under a bound of 5 hold two entries; a total left over
     from before the clear, or from another memo, would evict the one just

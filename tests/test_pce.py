@@ -2,16 +2,19 @@
 
 import math
 import re
+import sys
 import tracemalloc
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from pce_loops import pce, quad
+from pce_loops import bench, pce, quad
 from pce_loops.bench import TABLE2_ROWS
 from pce_loops.dist import Density, RandomVector
-from pce_loops.orthopoly import GramSchmidtError, OrthonormalBasis, _basis
+from pce_loops.orthopoly import GramSchmidtError, OrthonormalBasis, _basis, gram_schmidt
 from pce_loops.pce import (
     DegreeMatrix,
     LagrangeConditional,
@@ -448,3 +451,208 @@ def test_a_non_finite_point_in_a_later_slab_is_named(monkeypatch):
                f"({pole!r}, {float(nodes[1][0])!r}, {float(nodes[2][0])!r})")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         error_se(e, lambda x, y, z: y * z / (x - pole), n_nodes=24)
+
+
+# -- the contraction helper against np.tensordot ---------------------------
+
+
+def _tensordot_project(slabs, rules, mat_sets):
+    """_project as np.tensordot contracts it: the oracle of _contract."""
+    weighted = [[r.weights[:, None] * mat for mat, r in zip(mats, rules)] for mats in mat_sets]
+    partials = [[] for _ in mat_sets]
+    for _, values in slabs:
+        for mats, parts in zip(weighted, partials):
+            partial = values
+            for mat in mats[:-1]:
+                partial = np.tensordot(partial, mat, axes=([0], [0]))
+            parts.append(partial)
+    return [np.tensordot(np.concatenate(parts), mats[-1], axes=([0], [0]))
+            for mats, parts in zip(weighted, partials)]
+
+
+def _tensordot_square_errors(slabs, rules, fits):
+    """_square_errors as np.tensordot contracts it: the oracle of _contract."""
+    sums = [[] for _ in fits]
+    for lo, values in slabs:
+        for fit, parts in zip(fits, sums):
+            with np.errstate(over="ignore"):
+                if fit is None:
+                    sq = values**2
+                else:
+                    coeff_tensor, mats = fit
+                    approx = np.tensordot(coeff_tensor, mats[0][lo:lo + len(values)],
+                                          axes=([0], [1]))
+                    for mat in mats[1:]:
+                        approx = np.tensordot(approx, mat, axes=([0], [1]))
+                    sq = np.square(np.subtract(values, approx, out=approx), out=approx)
+            parts.append(quad._contract_trailing(sq, rules))
+    return [float(np.concatenate(parts) @ rules[0].weights) for parts in sums]
+
+
+def _with_tensordot(monkeypatch, run):
+    """run() with the tensordot oracles in place of _project and
+    _square_errors, wherever they are called from."""
+    with monkeypatch.context() as m:
+        for module in (pce, bench):
+            m.setattr(module, "_project", _tensordot_project)
+            m.setattr(module, "_square_errors", _tensordot_square_errors)
+        return run()
+
+
+def _expansion_bits(e, g, err_nodes):
+    return e.coeffs.tobytes(), e.se.hex(), error_se(e, g, n_nodes=err_nodes).hex()
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 5), (7, 5, 3)])
+def test_contract_is_tensordot_bitwise(shape):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(shape)
+    m, mt = rng.standard_normal((7, 4)), rng.standard_normal((4, 7))
+    # zero strides: a broadcast along a trailing axis, and along the leading one
+    operands = [a, np.broadcast_to(a[..., :1], shape), np.broadcast_to(a[:1], shape),
+                np.asfortranarray(a), a[::-1]]
+    for x in operands:
+        assert pce._contract(x, m).tobytes() == np.tensordot(x, m, axes=([0], [0])).tobytes()
+        # axes=([0], [1]) is the contraction with the transposed view
+        assert pce._contract(x, mt.T).tobytes() == \
+            np.tensordot(x, mt, axes=([0], [1])).tobytes()
+        assert pce._contract(x, m[:, :2]).shape == shape[1:] + (2,)
+
+
+def test_table2_and_appendix_b_match_tensordot_contractions_bitwise(monkeypatch):
+    def run():
+        table = [r["error"].hex() for r in bench.run_table2()["rows"]]
+        appendix = bench.run_appendix_b()
+        return table, [r["coefficient"].hex() for r in appendix["rows"]], \
+            appendix["se"]["value"].hex()
+    got = run()
+    assert len(got[0]) == sum(len(row.degrees) for row in TABLE2_ROWS) == 23
+    assert got == _with_tensordot(monkeypatch, run)
+
+
+def _ignores_y(x, y, z):
+    return np.cos(x) * np.exp(z)
+
+
+# (g, germs, degrees): one, two and three germs, and a g whose value
+# broadcasts over the axis it ignores
+ORACLE_CASES = [
+    (np.cos, RandomVector([Density.normal(0.0, 1.0)]), (9,)),
+    (lambda x, y: np.log(x + y), GOLD_GERMS, (2, 3)),
+    (THREE_GERM_FN, THREE_GERMS, (3, 2, 3)),
+    (_ignores_y, THREE_GERMS, (2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("slab_points", SLAB_SIZES + (quad._SLAB_POINTS,))
+def test_expand_and_error_se_match_tensordot_contractions_bitwise(monkeypatch, slab_points):
+    monkeypatch.setattr(quad, "_SLAB_POINTS", slab_points)
+    for g, germs, degrees in ORACLE_CASES:
+        def run():
+            return _expansion_bits(expand(g, germs, degrees, n_nodes=24), g, 30)
+        assert run() == _with_tensordot(monkeypatch, run)
+
+
+def test_slab_grids_match_meshgrid_bitwise(monkeypatch):
+    """The open grid f gets, and the values it returns (broadcast when f
+    ignores an argument), are those of np.meshgrid's sparse grid."""
+    monkeypatch.setattr(quad, "_SLAB_POINTS", 5 * 24)
+    rules = [build_rule(d, n) for d, n in zip(THREE_GERMS, (24, 13, 7))]
+    for axis in (0, -1):
+        for f in (THREE_GERM_FN, _ignores_y):
+            seen = []
+            slabs = list(quad._slabs(lambda *grid: seen.append(grid) or f(*grid),
+                                     rules, axis, "{point}"))
+            for (lo, values), grid in zip(slabs, seen):
+                part = [r.nodes for r in rules]
+                part[axis] = part[axis][lo:lo + values.shape[axis]]
+                want = np.meshgrid(*part, indexing="ij", sparse=True)
+                assert [x.tobytes() for x in grid] == [x.tobytes() for x in want]
+                assert [x.shape for x in grid] == [x.shape for x in want]
+                assert values.shape == tuple(len(x) for x in part)
+                assert values.tobytes() == np.broadcast_to(f(*want), values.shape).tobytes()
+
+
+@pytest.mark.parametrize("slab_points", SLAB_SIZES)
+def test_a_function_that_writes_into_its_arguments_still_runs(monkeypatch, slab_points):
+    monkeypatch.setattr(quad, "_SLAB_POINTS", slab_points)
+
+    def g(x, y, z):
+        x += 1.0
+        z *= 2.0
+        return np.cos(x) * y - z
+
+    def h(x, y, z):
+        return np.cos(x + 1.0) * y - z * 2.0
+    got = expand(g, THREE_GERMS, (2, 2, 1), n_nodes=12)
+    want = expand(h, THREE_GERMS, (2, 2, 1), n_nodes=12)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes() and got.se == want.se
+    assert error_se(got, g, n_nodes=14) == error_se(want, h, n_nodes=14)
+
+
+# -- checked bases in the per-density memo ---------------------------------
+
+
+def _basis_bits(b):
+    return b.raw.tobytes(), b.rule_values.tobytes(), b.gram_residual.hex(), b.max_degree
+
+
+def test_a_memo_basis_is_a_fresh_gram_schmidt_basis(monkeypatch):
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
+    germs = [Density.of(*s) for s in TABLE2_ROWS[3].germs] + [Density.normal(0.0, 1.0)]
+    first = pce._bases(germs, (3, 2, 3, 9), 24)
+    again = pce._bases(germs, (3, 2, 3, 9), 24)
+    assert all(a is b for a, b in zip(first, again))
+    for b, d, deg in zip(again, germs, (3, 2, 3, 9)):
+        fresh = gram_schmidt(d, deg, 24)
+        assert fresh is not gram_schmidt(d, deg, 24)
+        assert _basis_bits(b) == _basis_bits(fresh)
+    # another degree or node count is a basis of its own
+    assert pce._bases(germs[:1], (2,), 24)[0] is not first[0]
+    assert pce._bases(germs[:1], (3,), 25)[0] is not first[0]
+
+
+def test_evicting_a_density_drops_its_bases(monkeypatch):
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
+    monkeypatch.setattr(quad, "_MEMO_DENSITIES", 2)
+    built = []
+    real = pce.gram_schmidt
+    monkeypatch.setattr(pce, "gram_schmidt", lambda *a: built.append(a) or real(*a))
+    d = Density.trunc_normal(4.0, 1.0, 3.0, 5.0)
+    pce._bases([d], (3,), 16)
+    pce._bases([d], (3,), 16)
+    assert len(built) == 1
+    for b in (1.0, 2.0):
+        build_rule(Density.uniform(0.0, b), 4)
+    assert d not in quad._memo
+    pce._bases([d], (3,), 16)
+    assert len(built) == 2
+
+
+def test_a_failing_gram_check_keeps_no_basis(monkeypatch):
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
+    germ = Density.normal(0.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(GramSchmidtError):
+            pce._bases([germ], (9,), 9)
+        assert (9, 9) not in quad._memo[germ][3]
+
+
+def test_concurrent_bases_under_eviction_are_fresh_bases(monkeypatch):
+    """Threads asking for bases of more densities than the memo holds get,
+    each time, what a fresh gram_schmidt builds."""
+    monkeypatch.setattr(quad, "_memo", OrderedDict())
+    monkeypatch.setattr(quad, "_MEMO_DENSITIES", 2)
+    germs = [Density.uniform(0.0, 1.0 + k) for k in range(3)] + [Density.normal(0.5, 2.0)]
+    jobs = [(germs[i % 4], 2 + i % 3) for i in range(48)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(pce._bases, [d], (deg,), 16) for d, deg in jobs]
+            got = [f.result(timeout=60)[0] for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(quad._memo) <= 2
+    for (d, deg), b in zip(jobs, got):
+        assert _basis_bits(b) == _basis_bits(gram_schmidt(d, deg, 16))
